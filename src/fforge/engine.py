@@ -27,7 +27,7 @@ from .planar_map import (
     read_planar_code,
     write_planar_code,
 )
-from .structure import FamilyClass, classify_shape, find_belts, five_belt_census
+from .structure import FamilyClass, classify, classify_shape, find_belts, five_belt_census
 from .growth import (
     DerivationTrace,
     GrowthStep,
@@ -337,19 +337,30 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _load_set(path, include_reflection=True) -> GeneratedSet:
+def _load_set(path, include_reflection=True) -> tuple[GeneratedSet, int]:
+    """The fullerenes of a planar_code file and how many records were not
+    fullerenes."""
     out = GeneratedSet(0)
+    others = 0
     for m in read_planar_code(path):
-        p6 = p_vector(m)[6]
-        out.max_p6 = max(out.max_p6, p6)
+        pv = p_vector(m)
+        if not pv.is_fullerene():
+            others += 1
+            continue
+        out.max_p6 = max(out.max_p6, pv[6])
         canon = m.canonical_form(include_reflection)[0]
-        out.add(m.canonical_code(include_reflection), GeneratedEntry(canon, classify_shape(canon), p6))
-    return out
+        out.add(m.canonical_code(include_reflection), GeneratedEntry(canon, classify_shape(canon), pv[6]))
+    return out, others
 
 
 def _cmd_diff(args) -> int:
-    a = _load_set(args.a)
-    b = _load_set(args.b)
+    sets = []
+    for path in (args.a, args.b):
+        gen, others = _load_set(path)
+        if others:
+            print(f"{path}: ignored {others} records that are not fullerenes", file=sys.stderr)
+        sets.append(gen)
+    a, b = sets
     bound = max(a.max_p6, b.max_p6)
     a.max_p6 = b.max_p6 = bound
     report = cross_check(a, b)
@@ -398,31 +409,35 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    for i, m in enumerate(read_planar_code(args.infile)):
-        print(json.dumps({"index": i, "class": classify_shape(m).value}))
-    return 0
+    return _per_record(args.infile, lambda m: {"class": classify(m).value})
 
 
 def _cmd_belts(args) -> int:
-    for i, m in enumerate(read_planar_code(args.infile)):
+    def report(m):
         belts = find_belts(m, args.k)
-        rec = {"index": i, "k": args.k, "count": len(belts), "belts": [list(b.faces) for b in belts]}
+        rec = {"k": args.k, "count": len(belts), "belts": [list(b.faces) for b in belts]}
         if args.k == 5 and p_vector(m).is_fullerene():
             rec["census"] = list(five_belt_census(m))
-        print(json.dumps(rec))
-    return 0
+        return rec
+
+    return _per_record(args.infile, report)
 
 
 def _cmd_nanotube(args) -> int:
+    return _per_record(args.infile, lambda m: {"nanotube": [list(t) for t in recognize_nanotube(m)]})
+
+
+def _per_record(path, report) -> int:
+    """Print ``{"index": i, **report(map)}`` per record, or ``{"index": i,
+    "error": ...}`` when it raises a MapError; exit 1 if any record failed."""
     status = 0
-    for i, m in enumerate(read_planar_code(args.infile)):
+    for i, m in enumerate(read_planar_code(path)):
         try:
-            tags = recognize_nanotube(m)
+            rec = {"index": i, **report(m)}
         except MapError as exc:
-            print(json.dumps({"index": i, "error": str(exc)}))
+            rec = {"index": i, "error": str(exc)}
             status = 1
-            continue
-        print(json.dumps({"index": i, "nanotube": [list(t) for t in tags]}))
+        print(json.dumps(rec))
     return status
 
 

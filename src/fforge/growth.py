@@ -464,19 +464,23 @@ def _site_matches(m: PlanarMap, site: TruncationSite, kind: GrowthOpKind) -> boo
 
 
 def replay_step(m_canon: PlanarMap, step: GrowthStep) -> PlanarMap:
-    """Replay a recorded step on a canonical predecessor; verifies the code."""
+    """Replay a recorded step on a canonical predecessor; verifies the code.
+
+    The last sub-step's result is checked against the recorded code by a
+    search bounded by that code, which also labels the canonical copy.
+    """
     if step.site[0] == "cap":
         fam, k = step.site[1], step.site[2]
-        out = _canonicalize(_CAPS[fam][1](k + 1))
+        out = _CAPS[fam][1](k + 1)
     else:
-        cur = m_canon
-        for s, dart in step.site[1]:
-            site = TruncationSite(cur.face_of[dart], dart, s)
-            cur = _canonicalize(truncate(cur, site).map)
-        out = cur
-    if out.canonical_code() != step.code:
+        out = m_canon
+        for i, (s, dart) in enumerate(step.site[1]):
+            if i:
+                out = _canonicalize(out)
+            out = truncate(out, TruncationSite(out.face_of[dart], dart, s)).map
+    if not out.has_canonical_code(step.code):
         raise MapError(f"replay of {step.kind.name} did not reproduce the recorded code")
-    return out
+    return _canonicalize(out)
 
 
 def replay_trace(trace: DerivationTrace) -> PlanarMap:

@@ -18,7 +18,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
 
@@ -95,8 +95,7 @@ class PlanarMap:
                 if back is None:
                     raise AsymmetricError(f"vertex {v} lists {u} but not vice versa")
                 twin[3 * v + j] = 3 * u + back
-        nxt = [3 * (d // 3) + (d + 1) % 3 for d in range(3 * n)]
-        return cls(twin, nxt)
+        return cls(twin, _standard_next(3 * n))
 
     def _validate(self) -> None:
         n = len(self._twin)
@@ -304,7 +303,15 @@ class PlanarMap:
                 d = sigma[d]
         return out
 
-    def _canonical_search(self, include_reflection: bool):
+    def _canonical_search(self, include_reflection: bool, seed: Optional[list[int]] = None):
+        """``(symbols, winning start)`` of the least code over all starts.
+
+        With ``seed``, the symbols of a claimed code, every walk is bounded by
+        the claim from the first start on.  The claim fails, and the result
+        is None, as soon as a prefix or a walk falls below it, or when no walk
+        reads it; otherwise the winner is the first start whose walk reads
+        it, the start the unbounded search picks.
+        """
         fo = self.face_of
         fs = self.face_sizes
         twin = self._twin
@@ -326,7 +333,9 @@ class PlanarMap:
                     cands = [(d, sigma, refl, p)]
                 elif p == best_prefix:
                     cands.append((d, sigma, refl, p))
-        best = None
+        if seed is not None and list(best_prefix) != seed[:2]:
+            return None
+        best = seed
         winner = None
         for d, sigma, refl, p in cands:
             syms = self._code_symbols(sigma, d, best)
@@ -334,8 +343,14 @@ class PlanarMap:
                 continue
             full = [p[0], p[1]] + syms
             if best is None or full < best:
+                if seed is not None:
+                    return None  # the map's code is below the claim
                 best = full
                 winner = (d, sigma, refl)
+            elif winner is None:
+                winner = (d, sigma, refl)  # first walk reading the claim
+        if winner is None:
+            return None
         return best, winner
 
     def _canonical(self, include_reflection: bool):
@@ -346,6 +361,26 @@ class PlanarMap:
             best, winner = self._canonical_search(include_reflection)
             hit = cache[include_reflection] = (_encode_symbols(self.num_vertices, best), winner)
         return hit
+
+    def has_canonical_code(self, code: bytes) -> bool:
+        """Whether ``code`` is this map's (mirror-identifying) canonical code.
+
+        Runs the canonical search with ``code`` as the bound from the first
+        start on, instead of searching for the code and comparing.  On a match
+        the winning start is cached with the code, so ``canonical_code`` and
+        ``canonical_form`` do not search again.
+        """
+        hit = self._code_cache.get(True)
+        if hit is not None:
+            return hit[0] == code
+        seed = _decode_symbols(code)
+        if seed is None or seed[0] != self.num_vertices or len(seed) != 3 + self.num_darts:
+            return False
+        found = self._canonical_search(True, seed[1:])
+        if found is None:
+            return False
+        self._code_cache[True] = (code, found[1])
+        return True
 
     def canonical_code(self, include_reflection: bool = True) -> bytes:
         """Byte string identifying the isomorphism class of this map.
@@ -371,36 +406,38 @@ class PlanarMap:
         """
         code, (d0, sigma, refl) = self._canonical(include_reflection)
         twin = self._twin
-        nv = self.num_vertices
-        label = [0] * nv
-        label[d0 // 3] = 1
+        n = self.num_darts
+        # vertex v of the copy is the v-th vertex the labeling walk reaches,
+        # its darts numbered in sigma order from the dart the walk entered by
+        seen = [False] * self.num_vertices
+        seen[d0 // 3] = True
         refs = [d0]
+        dart_map = [0] * n
         i = 0
         while i < len(refs):
             d = refs[i]
-            i += 1
-            for _ in range(3):
+            for j in range(3):
+                dart_map[d] = 3 * i + j
                 td = twin[d]
-                u = td // 3
-                if label[u] == 0:
-                    label[u] = len(refs) + 1
+                if not seen[td // 3]:
+                    seen[td // 3] = True
                     refs.append(td)
                 d = sigma[d]
-        rot = []
-        dart_map = [0] * self.num_darts
-        for new_v, r in enumerate(refs):
-            row = []
-            d = r
-            for j in range(3):
-                row.append(label[twin[d] // 3] - 1)
-                dart_map[d] = 3 * new_v + j
-                d = sigma[d]
-            rot.append(row)
-        out = PlanarMap.from_rotation(rot)
+            i += 1
+        new_twin = [0] * n
+        for d in range(n):
+            new_twin[dart_map[d]] = dart_map[twin[d]]
+        # a bijective relabeling of a validated map needs no second validation
+        out = PlanarMap(new_twin, _standard_next(n), _validated=True)
         # the copy reads the code from dart 0 unreflected, the first candidate
         # its own search would try, so that start wins
         out._code_cache[include_reflection] = (code, (0, out._next, False))
         return out, dart_map, refl
+
+
+def _standard_next(num_darts: int) -> tuple[int, ...]:
+    """The rotation ``3v + j -> 3v + (j+1) % 3`` every built map uses."""
+    return tuple(3 * (d // 3) + (d + 1) % 3 for d in range(num_darts))
 
 
 def _encode_symbols(nv: int, symbols: list[int]) -> bytes:
@@ -410,6 +447,22 @@ def _encode_symbols(nv: int, symbols: list[int]) -> bytes:
     for s in (nv, *symbols):
         out += s.to_bytes(2, "big")
     return bytes(out)
+
+
+def _decode_symbols(code: bytes) -> Optional[list[int]]:
+    """``[nv, *symbols]`` of a code in the form ``_encode_symbols`` writes,
+    or None if the bytes are not such a code."""
+    if not code:
+        return None
+    if code[0]:
+        vals = list(code)
+    else:
+        if len(code) < 3 or len(code) % 2 == 0:
+            return None
+        vals = [int.from_bytes(code[i:i + 2], "big") for i in range(1, len(code), 2)]
+    if _encode_symbols(vals[0], vals[1:]) != code:
+        return None
+    return vals
 
 
 def map_from_faces(face_cycles: Iterable[Sequence[int]]) -> PlanarMap:

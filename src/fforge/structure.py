@@ -9,6 +9,7 @@ whether the fragment boundary is a simple edge-cycle (a patch).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -256,7 +257,9 @@ def _walk_from(m: PlanarMap, d: int, size: int, mirrored: bool) -> Optional[list
     return out
 
 
-def _try_embed(m: PlanarMap, pat: FragmentPattern, glue: dict, d0: int, mirrored: bool):
+def _place(m: PlanarMap, pat: FragmentPattern, glue: dict, d0: int, mirrored: bool):
+    """Rigid placement from slot 0 of face 0 at ``d0``: the per-face walks
+    and face images, or None when the pattern does not fit there."""
     nfaces = len(pat.sizes)
     walks: list[Optional[list[int]]] = [None] * nfaces
     walks[0] = _walk_from(m, d0, pat.sizes[0], mirrored)
@@ -293,14 +296,19 @@ def _try_embed(m: PlanarMap, pat: FragmentPattern, glue: dict, d0: int, mirrored
         face_ids.append(f)
     if len(set(face_ids)) != nfaces:
         return None
-    # boundary slots -> boundary edge walk; a patch needs a simple edge-cycle
+    return walks, tuple(face_ids)
+
+
+def _embedding(m: PlanarMap, pat: FragmentPattern, glue: dict, walks, face_ids, mirrored: bool):
+    """The embedding of a placement; a patch needs its boundary slots to
+    walk a simple edge-cycle."""
     boundary_darts = []
-    for i in range(nfaces):
+    for i in range(len(pat.sizes)):
         for slot in range(pat.sizes[i]):
             if (i, slot) not in glue:
                 boundary_darts.append(walks[i][slot])
     is_patch = _is_simple_edge_cycle(m, boundary_darts, mirrored)
-    return Embedding(pat.name, tuple(face_ids), tuple(w[0] for w in walks), mirrored, is_patch)
+    return Embedding(pat.name, face_ids, tuple(w[0] for w in walks), mirrored, is_patch)
 
 
 def _is_simple_edge_cycle(m: PlanarMap, darts: list[int], mirrored: bool) -> bool:
@@ -308,8 +316,6 @@ def _is_simple_edge_cycle(m: PlanarMap, darts: list[int], mirrored: bool) -> boo
     for d in darts:
         ends.append((m.source(d), m.target(d)))
     verts = [v for e in ends for v in e]
-    from collections import Counter
-
     cnt = Counter(verts)
     if any(c != 2 for c in cnt.values()):
         return False
@@ -332,23 +338,49 @@ def _is_simple_edge_cycle(m: PlanarMap, darts: list[int], mirrored: bool) -> boo
 
 def find_fragments(m: PlanarMap, pattern: FragmentPattern | Fragment) -> list[Embedding]:
     """All embeddings of a pattern, mirror images included, deduplicated by
-    their face-image set."""
+    their face-image set.
+
+    Embeddings come in start-dart order, unmirrored first; the first
+    embedding of a face set is kept.
+    """
     if isinstance(pattern, Fragment):
         pattern = PATTERNS[pattern]
     glue = pattern.glue_table()
+    hosts = _host_faces(m, pattern, glue)
+    fo = m.face_of
     out = []
-    seen: set[tuple] = set()
+    seen: set[frozenset] = set()
     for mirrored in (False, True):
         for d0 in range(m.num_darts):
-            emb = _try_embed(m, pattern, glue, d0, mirrored)
-            if emb is None:
+            # a start dart lies on template face 0's image: left of d0, or
+            # right of it in a mirror image
+            if fo[m.twin(d0) if mirrored else d0] not in hosts:
                 continue
-            key = frozenset(emb.faces)
+            placed = _place(m, pattern, glue, d0, mirrored)
+            if placed is None:
+                continue
+            walks, face_ids = placed
+            key = frozenset(face_ids)
             if key in seen:
                 continue
             seen.add(key)
-            out.append(emb)
+            out.append(_embedding(m, pattern, glue, walks, face_ids, mirrored))
     return out
+
+
+def _host_faces(m: PlanarMap, pat: FragmentPattern, glue: dict) -> set[int]:
+    """Faces that could be the image of template face 0: its size, and
+    neighbors whose sizes include those of the faces glued to it."""
+    need = Counter(pat.sizes[glue[(0, slot)][0]] for slot in range(pat.sizes[0]) if (0, slot) in glue)
+    fs = m.face_sizes
+    hosts = set()
+    for f in range(m.num_faces):
+        if fs[f] != pat.sizes[0]:
+            continue
+        have = Counter(fs[g] for g in m.face_neighbors(f))
+        if all(have[k] >= c for k, c in need.items()):
+            hosts.add(f)
+    return hosts
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 Nothing here shares logic with the package's canonical-code, belt, or
 fragment machinery; these are direct transcriptions of the definitions.
+The one exception is ``all_darts_fragments``, which reuses the package's
+placement from one start dart to check which start darts are tried.
 """
 
 from __future__ import annotations
@@ -158,6 +160,27 @@ def pentagon_triple_arm_sites(m: PlanarMap) -> set:
             ]
             if len(us) == 1 and m.face_sizes[us[0]] == 6:
                 out.add(frozenset((a, b, c, ell, us[0])))
+    return out
+
+
+def all_darts_fragments(m: PlanarMap, fragment) -> list:
+    """``find_fragments`` trying every dart as the start in both mirror
+    senses, each embedding built with its patch test before the face-set
+    check drops a repeat."""
+    from fforge.structure import PATTERNS, _embedding, _place
+
+    pat = PATTERNS[fragment]
+    glue = pat.glue_table()
+    out, seen = [], set()
+    for mirrored in (False, True):
+        for d0 in range(m.num_darts):
+            placed = _place(m, pat, glue, d0, mirrored)
+            if placed is None:
+                continue
+            emb = _embedding(m, pat, glue, *placed, mirrored)
+            if frozenset(emb.faces) not in seen:
+                seen.add(frozenset(emb.faces))
+                out.append(emb)
     return out
 
 

@@ -271,6 +271,54 @@ class TestCli:
         assert "fullerene" in lines[1]["error"]
         assert lines[2]["nanotube"] == []
 
+    def test_classify_and_belts_report_each_record(self, tmp_path, capsys):
+        src = tmp_path / "mixed.plc"
+        from fforge import write_planar_code
+
+        write_planar_code(src, [build_dodecahedron(), helpers.cube_map(), helpers.ipr_c60(),
+                                helpers.bridged_cubic()])
+
+        def records():
+            return [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+
+        assert main(["classify", str(src)]) == 1
+        lines = records()
+        assert [rec["index"] for rec in lines] == [0, 1, 2, 3]
+        assert [rec.get("class") for rec in lines[:3]] == ["F", "other", "F-IPR"]
+        assert "polytopal" in lines[3]["error"]
+        assert main(["belts", str(src)]) == 0
+        assert [rec["count"] for rec in records()] == [12, 0, 12, 0]
+        assert main(["belts", str(src), "--k", "2"]) == 1
+        lines = records()
+        assert [rec["index"] for rec in lines] == [0, 1, 2, 3]
+        assert all("k >= 3" in rec["error"] for rec in lines)
+
+    def test_diff_says_what_it_ignores(self, tmp_path, capsys):
+        a, b = tmp_path / "a.plc", tmp_path / "b.plc"
+        from fforge import write_planar_code
+
+        write_planar_code(a, [build_dodecahedron(), helpers.cube_map(), helpers.bridged_cubic()])
+        write_planar_code(b, [build_dodecahedron()])
+        assert main(["diff", str(a), str(b)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "fullerene buckets agree\n"
+        assert err.splitlines() == [f"{a}: ignored 2 records that are not fullerenes"]
+
+    def test_python_dash_m_runs_the_cli(self):
+        import os
+        import subprocess
+        import sys
+
+        import fforge
+
+        src = os.path.dirname(os.path.dirname(fforge.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-m", "fforge", "--help"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert res.stdout.startswith("usage: fforge")
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--regime", "bogus"])

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import pytest
 
 from fforge import (
@@ -22,7 +25,9 @@ from fforge.growth import (
     IllegalTransitionError,
     SiteMismatchError,
     _canonicalize,
+    replay_step,
 )
+from fforge.planar_map import MapError, PlanarMap
 from fforge.structure import FamilyClass, NotAFullereneError
 
 import helpers
@@ -283,6 +288,90 @@ class TestTraceDeterminism:
                     reduce_to_dodecahedron(m, regime).to_jsonl()
                     == reduce_to_dodecahedron(twin, regime).to_jsonl()
                 )
+
+
+def _walk_code(m, d0: int) -> bytes:
+    """The 1-byte code read by the first-visit labeling walk from dart d0:
+    the face sizes left and right of d0, then the label of each rotation
+    neighbor of each vertex in labeling order."""
+    label = {d0 // 3: 1}
+    refs = [d0]
+    syms = [m.face_sizes[m.face_of[d0]], m.face_sizes[m.face_of[m.twin(d0)]]]
+    for d in refs:
+        for _ in range(3):
+            u = m.target(d)
+            if u not in label:
+                label[u] = len(label) + 1
+                refs.append(m.twin(d))
+            syms.append(label[u])
+            d = m.next(d)
+    return bytes([m.num_vertices] + syms)
+
+
+class TestReplayStep:
+    """replay_step confirms a step's recorded code by a search bounded by it;
+    every way the recorded code can be wrong still fails the step."""
+
+    @pytest.fixture(scope="class", params=["trunc", "cap"])
+    def last_step(self, request, oracle5):
+        bucket = oracle5.fullerene_codes()[5]
+        if request.param == "trunc":
+            m, regime = oracle5.entries[bucket[0]].map, Regime.SEVEN
+        else:
+            m, regime = build_D5k(1), Regime.A_OPS
+        trace = reduce_to_dodecahedron(m, regime)
+        assert trace.steps[-1].site[0] == request.param
+        pred = _canonicalize(build_dodecahedron())
+        for step in trace.steps[:-1]:
+            pred = replay_step(pred, step)
+        return pred, trace.steps[-1], [c for c in bucket if c != trace.steps[-1].code]
+
+    def test_recorded_code_replays(self, last_step):
+        pred, step, _ = last_step
+        out = replay_step(pred, step)
+        assert out.canonical_code() == step.code
+        fresh = PlanarMap(out._twin, out._next)
+        assert out._canonical(True) == fresh._canonical(True)
+
+    @staticmethod
+    def _bad(last_step):
+        pred, step, others = last_step
+        true = step.code
+        nv, syms = true[0], list(true[1:])
+        out = replay_step(pred, step)
+        above = min(c for c in (_walk_code(out, d) for d in range(out.num_darts)) if c > true)
+        return {
+            "another map's code": others[0],
+            "a code below the true one": bytes([nv] + syms[:-1] + [syms[-1] - 1]),
+            "the 2-byte form": b"\0" + b"".join(x.to_bytes(2, "big") for x in [nv] + syms),
+            "a walk of the same map above its code": above,
+        }
+
+    @pytest.mark.parametrize("which", [
+        "another map's code", "a code below the true one", "the 2-byte form",
+        "a walk of the same map above its code",
+    ])
+    def test_wrong_code_fails_the_step(self, last_step, which):
+        pred, step, _ = last_step
+        bad = dataclasses.replace(step, code=self._bad(last_step)[which])
+        with pytest.raises(MapError, match="did not reproduce the recorded code"):
+            replay_step(pred, bad)
+
+
+# sha256 of the JSONL traces that reduce C60 and the three fullerenes with
+# five hexagons, per regime.  Any change to a derivation trace fails here.
+PINNED_REDUCE_TRACES = {
+    Regime.SEVEN: "8fa9e1f5187504f8677019c9b6d74ec3cac9d152b9e13a7665f5ffe7381b58d0",
+    Regime.A_OPS: "1bf80641f99823ea4a753079417eab04cd6ea3afffda829e14f05815640fdd8b",
+    Regime.AB_OPS: "8a38dbca1550347bed9e4e27f8216ce488a8dcfd09f7d12908d3e5fd2a829815",
+}
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_reduce_traces_are_pinned(regime, c60, gen_seven):
+    maps = [c60] + [gen_seven.entries[c].map for c in gen_seven.fullerene_codes()[5]]
+    text = "".join(reduce_to_dodecahedron(m, regime).to_jsonl() for m in maps)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REDUCE_TRACES[regime]
 
 
 class TestTraceSerialization:

@@ -204,3 +204,38 @@ class TestCanonicalForm:
                     copy = e.map.canonical_form(refl)[0]
                     fresh = PlanarMap(copy._twin, copy._next)
                     assert copy._canonical(refl) == fresh._canonical(refl)
+
+    def test_copy_is_the_relabeling_from_rotation_builds(self, gen_seven, gen_a, gen_ab):
+        """The copy built straight from the dart relabeling equals, dart for
+        dart, the map from_rotation builds from its rotation lists, passes
+        validation, and its dart map is a bijection that commutes with twin."""
+        for gen in (gen_seven, gen_a, gen_ab):
+            for i, e in enumerate(gen.entries.values()):
+                m = relabeled(e.map, i)
+                for refl in (True, False):
+                    copy, dart_map, _ = m.canonical_form(refl)
+                    rebuilt = PlanarMap.from_rotation(copy.rotation_lists())
+                    assert (copy._twin, copy._next) == (rebuilt._twin, rebuilt._next)
+                    copy._validate()
+                    assert sorted(dart_map) == list(range(m.num_darts))
+                    assert all(copy.twin(dart_map[d]) == dart_map[m.twin(d)] for d in range(m.num_darts))
+
+
+class TestHasCanonicalCode:
+    def test_accepts_the_code_and_caches_the_winning_start(self, gen_seven, gen_ab):
+        for gen in (gen_seven, gen_ab):
+            for i, e in enumerate(gen.entries.values()):
+                m = relabeled(e.map, i)
+                fresh = relabeled(e.map, i)
+                assert m.has_canonical_code(fresh.canonical_code())
+                assert m._canonical(True) == fresh._canonical(True)
+
+    def test_rejects_other_codes(self, oracle5):
+        codes = oracle5.fullerene_codes()[5]
+        m = relabeled(oracle5.entries[codes[0]].map, 1)
+        true = m.canonical_code()
+        nv, syms = true[0], list(true[1:])
+        lowered = bytes([nv]) + bytes(syms[:-1] + [syms[-1] - 1])
+        two_byte = b"\0" + b"".join(s.to_bytes(2, "big") for s in [nv] + syms)
+        for bad in (codes[1], lowered, two_byte, true[:-1], b"", b"\0", b"\0\0"):
+            assert not relabeled(m, 2).has_canonical_code(bad)

@@ -139,6 +139,19 @@ class TestFragments:
             for frag in (Fragment.C1, Fragment.C2, Fragment.P1, Fragment.P2):
                 assert len(find_fragments(m, frag)) == len(find_fragments(mirror, frag))
 
+    def test_start_darts_only_on_host_faces(self, gen_seven, gen_a, gen_ab, c60):
+        """Trying starts only on faces that can host template face 0 finds
+        the same embeddings, in the same order, as trying every dart."""
+        pool = [e.map for g in (gen_seven, gen_a, gen_ab) for e in g.entries.values()]
+        pool += [c60, helpers.leapfrog(c60)]
+        hits = 0
+        for m in pool:
+            for frag in Fragment:
+                got = find_fragments(m, frag)
+                assert got == helpers.all_darts_fragments(m, frag)
+                hits += len(got)
+        assert hits > len(pool)
+
     def test_adjacent_pentagon_coverage(self, oracle5):
         """Any fullerene with touching pentagons shows one of the four patches."""
         for e in oracle5.entries.values():
