@@ -1,10 +1,10 @@
 """Growth operations, nanotube families, and reduction to the dodecahedron.
 
 The three operation regimes share one mechanism: every step is either a
-single two-edges/edge truncation, a recorded composition of truncations, or
-a cap-recognition rebuild for the two nanotube families.  Reduction searches
-the admissible inverse straightenings in a fixed order, so isomorphic inputs
-produce identical traces.
+chain of two-edges/edge truncations (a single truncation is a chain of one)
+or a cap-recognition rebuild for the two nanotube families.  Reduction
+searches the admissible inverse straightenings in a fixed order, so
+isomorphic inputs produce identical traces.
 """
 
 from __future__ import annotations
@@ -80,11 +80,9 @@ class GrowthOpKind(Enum):
     B2 = "B2"
     B3 = "B3"
     B4 = "B4"
-    B5 = "B5"
 
 
-# single-truncation signatures: (s, k or None, m1, m2); A4..A7 are the four
-# two-edge truncations under their growth-operation names
+# single-truncation signatures: (s, k or None, m1, m2)
 KIND_SIGNATURES: dict[GrowthOpKind, tuple[int, Optional[int], int, int]] = {
     GrowthOpKind.T145: (1, None, 4, 5),
     GrowthOpKind.T155: (1, None, 5, 5),
@@ -93,26 +91,29 @@ KIND_SIGNATURES: dict[GrowthOpKind, tuple[int, Optional[int], int, int]] = {
     GrowthOpKind.T2656: (2, 6, 5, 6),
     GrowthOpKind.T2755: (2, 7, 5, 5),
     GrowthOpKind.T2756: (2, 7, 5, 6),
-    GrowthOpKind.A4: (2, 6, 5, 5),
-    GrowthOpKind.A5: (2, 6, 5, 6),
-    GrowthOpKind.A6: (2, 7, 5, 5),
-    GrowthOpKind.A7: (2, 7, 5, 6),
 }
 
-# composite decompositions used for forward application and enumeration; the
-# later truncations always act on the unique exceptional face they need
-COMPOSITE_KINDS: dict[GrowthOpKind, tuple[GrowthOpKind, ...]] = {
+# every truncation kind as its chain of the seven truncations, in forward
+# order; A4..A7 are single two-edge truncations under their growth-operation
+# names, and the later truncations of a longer chain always act on the
+# unique exceptional face they need.  The paper's B5 has B4's chain, source
+# and target classes, so B4 stands for both.
+KIND_CHAINS: dict[GrowthOpKind, tuple[GrowthOpKind, ...]] = {
+    **{k: (k,) for k in KIND_SIGNATURES},
     GrowthOpKind.A3: (GrowthOpKind.T155, GrowthOpKind.T2645),
+    GrowthOpKind.A4: (GrowthOpKind.T2655,),
+    GrowthOpKind.A5: (GrowthOpKind.T2656,),
+    GrowthOpKind.A6: (GrowthOpKind.T2755,),
+    GrowthOpKind.A7: (GrowthOpKind.T2756,),
     GrowthOpKind.B1: (GrowthOpKind.T2656, GrowthOpKind.T2755),
     GrowthOpKind.B2: (GrowthOpKind.T2656, GrowthOpKind.T2756),
     GrowthOpKind.B3: (GrowthOpKind.T2656, GrowthOpKind.T2756, GrowthOpKind.T2755),
     GrowthOpKind.B4: (GrowthOpKind.T2656, GrowthOpKind.T2756, GrowthOpKind.T2756),
-    GrowthOpKind.B5: (GrowthOpKind.T2656, GrowthOpKind.T2756, GrowthOpKind.T2756),
 }
 
 # faces an operation adds: one per truncation, one hexagon belt per cap insertion
 _FACE_GAIN: dict[GrowthOpKind, int] = {
-    **{k: len(COMPOSITE_KINDS.get(k, (k,))) for k in GrowthOpKind},
+    **{k: len(chain) for k, chain in KIND_CHAINS.items()},
     GrowthOpKind.A1: 5,
     GrowthOpKind.A2: 3,
 }
@@ -363,7 +364,6 @@ _SOURCE_CLASSES: dict[GrowthOpKind, tuple[FamilyClass, ...]] = {
     GrowthOpKind.B2: _FULLERENE_CLASSES,
     GrowthOpKind.B3: _FULLERENE_CLASSES,
     GrowthOpKind.B4: _FULLERENE_CLASSES,
-    GrowthOpKind.B5: _FULLERENE_CLASSES,
 }
 
 _TARGET_CLASSES: dict[GrowthOpKind, tuple[FamilyClass, ...]] = {
@@ -385,7 +385,6 @@ _TARGET_CLASSES: dict[GrowthOpKind, tuple[FamilyClass, ...]] = {
     GrowthOpKind.B2: (FamilyClass.F1_IPR,),
     GrowthOpKind.B3: _FULLERENE_CLASSES,
     GrowthOpKind.B4: (FamilyClass.F1_IPR,),
-    GrowthOpKind.B5: (FamilyClass.F1_IPR,),
 }
 
 
@@ -417,9 +416,10 @@ def _canonical_site(m_raw: PlanarMap, site: TruncationSite) -> tuple[PlanarMap, 
 def apply_growth(m: PlanarMap, kind: GrowthOpKind, site=None) -> PlanarMap:
     """Apply a growth operation and return the canonical result.
 
-    ``site`` is a TruncationSite for the single-truncation kinds, a sequence
-    of (s, dart) pairs for composite kinds (darts refer to the canonical
-    labeling after each sub-step), and is ignored for the cap insertions.
+    ``site`` is a TruncationSite for the kinds whose chain is one
+    truncation, a sequence of (s, dart) pairs for longer chains (darts refer
+    to the canonical labeling after each sub-step), and is ignored for the
+    cap insertions.
     """
     cls = classify_shape(m)
     if cls not in _SOURCE_CLASSES[kind]:
@@ -430,14 +430,14 @@ def apply_growth(m: PlanarMap, kind: GrowthOpKind, site=None) -> PlanarMap:
         if fam not in tags:
             raise SiteMismatchError(f"{kind.name} needs the matching nanotube cap")
         return _canonicalize(_CAPS[fam][1](tags[fam] + 1))
-    if kind in KIND_SIGNATURES:
+    seq = KIND_CHAINS[kind]
+    if len(seq) == 1:
         if not isinstance(site, TruncationSite):
             raise SiteMismatchError(f"{kind.name} needs a truncation site")
-        if not _site_matches(m, site, kind):
+        if not _site_matches(m, site, seq[0]):
             raise SiteMismatchError(f"site does not match {kind.name}")
         out = truncate(m, site).map
-    elif kind in COMPOSITE_KINDS:
-        seq = COMPOSITE_KINDS[kind]
+    else:
         if site is None or len(site) != len(seq):
             raise SiteMismatchError(f"{kind.name} needs {len(seq)} sub-sites")
         cur = _canonicalize(m)
@@ -447,8 +447,6 @@ def apply_growth(m: PlanarMap, kind: GrowthOpKind, site=None) -> PlanarMap:
                 raise SiteMismatchError(f"sub-site does not match {sub_kind.name}")
             cur = _canonicalize(truncate(cur, sub_site).map)
         out = cur
-    else:
-        raise SiteMismatchError(f"unknown kind {kind}")
     out_cls = classify_shape(out)
     if out_cls not in _TARGET_CLASSES[kind]:
         raise IllegalTransitionError(f"{kind.name} produced class {out_cls.value}")
@@ -505,9 +503,9 @@ _REGIME_CLASSES = {
     Regime.AB_OPS: {FamilyClass.F, FamilyClass.F_IPR, FamilyClass.F1_IPR},
 }
 
-# each regime's operations, in the order successors are generated and (seven
-# and a regimes) single-truncation inverses are tried; which of them apply to
-# a map is read off _SOURCE_CLASSES forward and _TARGET_CLASSES in reduction
+# each regime's operations, in the order successors are generated; which of
+# them apply to a map is read off _SOURCE_CLASSES forward and _TARGET_CLASSES
+# in reduction
 _REGIME_KINDS: dict[Regime, tuple[GrowthOpKind, ...]] = {
     Regime.SEVEN: (
         GrowthOpKind.T155, GrowthOpKind.T2655, GrowthOpKind.T145, GrowthOpKind.T2645,
@@ -524,6 +522,47 @@ _REGIME_KINDS: dict[Regime, tuple[GrowthOpKind, ...]] = {
     ),
 }
 
+# the order reduction tries truncation kinds in.  The seven and a regimes
+# reuse their generation order.  The ab regime tries B1, B3, then A6 for an
+# IPR fullerene, and A7 before B2 and B4 for the heptagon IPR class, where
+# one map can admit all three; its generation order differs, and changing
+# that would change the closure's recorded steps
+_UNDO_KINDS: dict[Regime, tuple[GrowthOpKind, ...]] = {
+    Regime.SEVEN: _REGIME_KINDS[Regime.SEVEN],
+    Regime.A_OPS: _REGIME_KINDS[Regime.A_OPS],
+    Regime.AB_OPS: (
+        GrowthOpKind.B1, GrowthOpKind.B3, GrowthOpKind.A6,
+        GrowthOpKind.A7, GrowthOpKind.B2, GrowthOpKind.B4,
+    ),
+}
+
+
+def _has_pentagon_cornered_edge(m: PlanarMap) -> bool:
+    fs = m.face_sizes
+    for d in m.edges:
+        ca, cb = m.edge_corner_faces(d)
+        if fs[ca] == 5 and fs[cb] == 5:
+            return True
+    return False
+
+
+def _has_hexagon_between_opposite_pentagons(m: PlanarMap) -> bool:
+    fs = m.face_sizes
+    for f in range(m.num_faces):
+        if fs[f] == 6:
+            nbrs = m.face_neighbors(f)
+            if any(fs[nbrs[i]] == 5 and fs[nbrs[i + 3]] == 5 for i in range(3)):
+                return True
+    return False
+
+
+# preconditions for undoing B1 and B3; a chain search is not started where
+# its guard fails, as it can run for minutes on a large IPR map
+_UNDO_GUARDS = {
+    GrowthOpKind.B1: _has_pentagon_cornered_edge,
+    GrowthOpKind.B3: _has_hexagon_between_opposite_pentagons,
+}
+
 
 def _try_undo(m: PlanarMap, dart: int, expect: Sequence[FamilyClass]):
     """Straighten one edge; returns (canonical predecessor, canonical site)
@@ -537,16 +576,6 @@ def _try_undo(m: PlanarMap, dart: int, expect: Sequence[FamilyClass]):
         return None
     canon, csite = _canonical_site(res.map, res.inverse_site)
     return canon, csite, cls
-
-
-def _undo_single(m, kind, expect):
-    """First admissible inverse of one truncation kind, in dart order."""
-    for d in sorted(_candidate_darts(m, kind)):
-        got = _try_undo(m, d, expect)
-        if got is not None:
-            canon, csite, _ = got
-            return canon, csite
-    return None
 
 
 def _candidate_darts(m: PlanarMap, kind: GrowthOpKind):
@@ -586,7 +615,9 @@ def reduce_once(m: PlanarMap, regime: Regime) -> tuple[PlanarMap, GrowthStep]:
     """One reduction step: a strictly smaller predecessor in the regime's
     family plus the forward step that regenerates ``m``.
 
-    The input should be in canonical labeling for reproducible traces.
+    The input should be in canonical labeling for reproducible traces.  A
+    fullerene with adjacent pentagons outside the seven regime is reduced by
+    its nanotube cap or its P1/P2 patch; every other step by ``_undo_first``.
     """
     cls = classify_shape(m)
     if cls not in _REGIME_CLASSES[regime]:
@@ -596,31 +627,31 @@ def reduce_once(m: PlanarMap, regime: Regime) -> tuple[PlanarMap, GrowthStep]:
         raise AtDodecahedronError("the dodecahedron has no predecessor")
     if regime is not Regime.SEVEN and cls is FamilyClass.F:
         return _reduce_adjacent_pentagons(m, code)
-    if regime is Regime.AB_OPS:
-        if cls is FamilyClass.F_IPR:
-            return _reduce_ipr_ab(m, code)
-        return _reduce_f1_ipr_ab(m, code)
     return _undo_first(m, cls, code, regime)
 
 
-def _step_single(kind: GrowthOpKind, csite, code: bytes) -> GrowthStep:
-    return GrowthStep(kind, ("trunc", (csite,)), code)
-
-
 def _undo_first(m: PlanarMap, cls: FamilyClass, code: bytes, regime: Regime):
-    """Undo the first single truncation of the regime, in its kind order, that
-    produces ``cls``; the predecessor must land in the kind's source classes.
+    """Undo the chain of the first truncation kind, in the regime's undo
+    order, that produces ``cls``; the predecessor must land in the kind's
+    source classes within the regime.
 
-    For an IPR map in the ``a`` regime A4 is tried before A6 and finds
-    nothing: its seam is a pentagon-pentagon edge, which IPR maps lack.
+    The ab order is (B1, B3, A6, A7, B2, B4).  B1 is tried only when an edge
+    has pentagons at both endpoint corners, and B3 only when a hexagon has
+    pentagons on two opposite edges.  For an IPR map in the ``a`` regime A3
+    and A4 are tried before A6 and find nothing: their last seam is a
+    pentagon-pentagon edge, which IPR maps lack.
     """
-    for kind in _REGIME_KINDS[regime]:
-        if kind not in KIND_SIGNATURES or cls not in _TARGET_CLASSES[kind]:
+    for kind in _UNDO_KINDS[regime]:
+        if kind not in KIND_CHAINS or cls not in _TARGET_CLASSES[kind]:
             continue
-        got = _undo_single(m, kind, _SOURCE_CLASSES[kind])
+        guard = _UNDO_GUARDS.get(kind)
+        if guard is not None and not guard(m):
+            continue
+        final = [c for c in _SOURCE_CLASSES[kind] if c in _REGIME_CLASSES[regime]]
+        got = _sequence_search(m, KIND_CHAINS[kind], final)
         if got is not None:
-            pred, csite = got
-            return pred, _step_single(kind, csite, code)
+            pred, sites = got
+            return pred, GrowthStep(kind, ("trunc", sites), code)
     raise NoCaseAppliesError("no admissible truncation inverse found", m)
 
 
@@ -647,7 +678,7 @@ def _reduce_adjacent_pentagons(m: PlanarMap, code: bytes):
         if got is None:
             raise NoCaseAppliesError("P1 patch did not straighten to a fullerene", m)
         pred, csite, _ = got
-        return pred, _step_single(GrowthOpKind.A4, csite, code)
+        return pred, GrowthStep(GrowthOpKind.A4, ("trunc", (csite,)), code)
     p2 = find_fragments(m, Fragment.P2)
     if p2:
         emb = min(p2, key=lambda e: sorted(e.faces))
@@ -707,70 +738,18 @@ def _sequence_search(m: PlanarMap, kinds: Sequence[GrowthOpKind], final: Sequenc
     return pred, tuple(sites)
 
 
-def _reduce_ipr_ab(m: PlanarMap, code: bytes):
-    """IPR fullerene under the extended regime: pentagon pair geometry picks
-    the composite operation, with an A6 inverse fallback."""
-    fs = m.face_sizes
-    # case 1: an edge whose two endpoint corners are pentagons
-    for d in sorted(m.edges):
-        ca, cb = m.edge_corner_faces(d)
-        if fs[ca] == 5 and fs[cb] == 5:
-            got = _sequence_search(m, COMPOSITE_KINDS[GrowthOpKind.B1], _FULLERENE_CLASSES)
-            if got is None:
-                break
-            pred, sites = got
-            return pred, GrowthStep(GrowthOpKind.B1, ("trunc", sites), code)
-    # case 2: a hexagon meeting pentagons along opposite edges
-    for f in range(m.num_faces):
-        if fs[f] != 6:
-            continue
-        nbrs = m.face_neighbors(f)
-        if any(fs[nbrs[i]] == 5 and fs[nbrs[i + 3]] == 5 for i in range(3)):
-            got = _sequence_search(m, COMPOSITE_KINDS[GrowthOpKind.B3], _FULLERENE_CLASSES)
-            if got is None:
-                break
-            pred, sites = got
-            return pred, GrowthStep(GrowthOpKind.B3, ("trunc", sites), code)
-    # case 3: every pentagon is isolated behind hexagons
-    got = _undo_single(m, GrowthOpKind.T2755, (FamilyClass.F1_IPR,))
-    if got is not None:
-        pred, csite = got
-        return pred, _step_single(GrowthOpKind.A6, csite, code)
-    raise NoCaseAppliesError("IPR fullerene matched no extended-regime case", m)
-
-
-def _reduce_f1_ipr_ab(m: PlanarMap, code: bytes):
-    got = _undo_single(m, GrowthOpKind.T2756, (FamilyClass.F1_IPR,))
-    if got is not None:
-        pred, csite = got
-        return pred, _step_single(GrowthOpKind.A7, csite, code)
-    for op in (GrowthOpKind.B2, GrowthOpKind.B4, GrowthOpKind.B5):
-        got = _sequence_search(m, COMPOSITE_KINDS[op], _FULLERENE_CLASSES)
-        if got is not None:
-            pred, sites = got
-            return pred, GrowthStep(op, ("trunc", sites), code)
-    raise NoCaseAppliesError("heptagon IPR class matched no B-operation inverse", m)
-
-
 # ----------------------------------------------------------------------
 # forward successor enumeration (used by the closure engine)
 # ----------------------------------------------------------------------
 
 
-def _single_truncation_successors(m: PlanarMap, kind: GrowthOpKind):
-    s, k, m1, m2 = KIND_SIGNATURES[kind]
-    for site in enumerate_sites(m, s=s, k=k, m1=m1, m2=m2):
-        raw = truncate(m, site).map
-        yield kind, ("trunc", ((site.s, site.start_dart),)), raw
-
-
-def _composite_successors(m: PlanarMap, kind: GrowthOpKind):
-    """Chains of truncations realizing a composite operation.
+def _chain_successors(m: PlanarMap, kind: GrowthOpKind):
+    """Chains of truncations realizing a truncation kind.
 
     The first cut runs over all matching sites; later cuts are anchored by
     their signature to the unique exceptional face the chain created.
     """
-    seq = COMPOSITE_KINDS[kind]
+    seq = KIND_CHAINS[kind]
 
     def rec(cur: PlanarMap, idx: int, acc: tuple):
         k0 = seq[idx]
@@ -815,10 +794,8 @@ def successor_candidates(m: PlanarMap, regime: Regime, max_faces: int):
     if GrowthOpKind.A1 in kinds or GrowthOpKind.A2 in kinds:
         yield from _cap_successors(m, kinds)
     for kind in kinds:
-        if kind in COMPOSITE_KINDS:
-            yield from _composite_successors(m, kind)
-        elif kind in KIND_SIGNATURES:
-            yield from _single_truncation_successors(m, kind)
+        if kind in KIND_CHAINS:
+            yield from _chain_successors(m, kind)
 
 
 def reduce_to_dodecahedron(m: PlanarMap, regime: Regime) -> DerivationTrace:

@@ -41,17 +41,6 @@ class Belt:
         return len(self.faces)
 
 
-@dataclass(frozen=True)
-class KLoop:
-    """Cyclic face sequence whose consecutive members share an edge."""
-
-    faces: tuple[int, ...]
-
-    @property
-    def simple(self) -> bool:
-        return len(set(self.faces)) == len(self.faces)
-
-
 def _canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
     """Least rotation over both directions, for dihedral dedup."""
     best = None
@@ -464,7 +453,7 @@ def classify(m: PlanarMap) -> FamilyClass:
 class LoopVerdict:
     """Outcome of one (1,3,1,3,1,3)-bordered loop occurrence."""
 
-    loop: KLoop
+    loop: tuple[int, ...]
     ok: bool
     reason: str
 
@@ -536,7 +525,7 @@ def survey_131313(m: PlanarMap) -> list[LoopVerdict]:
     verdicts = []
     for loop, runs, outer in _find_131313_loops(m):
         ok, reason = _check_dichotomy(m, loop, runs, outer)
-        verdicts.append(LoopVerdict(KLoop(loop), ok, reason))
+        verdicts.append(LoopVerdict(loop, ok, reason))
     return verdicts
 
 

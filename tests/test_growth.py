@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import itertools
+import json
 
 import pytest
 
@@ -20,6 +22,7 @@ from fforge import (
     replay_trace,
     truncate,
 )
+from fforge.engine import EnumerationJob, enumerate_closure
 from fforge.growth import (
     AtDodecahedronError,
     IllegalTransitionError,
@@ -221,6 +224,40 @@ class TestReduce:
             m = replay_step(m, step)
             assert classify_shape(m) in _REGIME_CLASSES[Regime.AB_OPS]
 
+    def test_false_guards_start_no_b1_or_b3_search(self, c60, monkeypatch):
+        """No edge of the leapfrog of C60 has pentagons at both endpoint
+        corners, and no hexagon has pentagons on opposite edges, so the B1 and
+        B3 chain searches are not started (unguarded, B1 runs for minutes)."""
+        from fforge import growth
+
+        searched = []
+        search = growth._sequence_search
+        guarded = [growth.KIND_CHAINS[GrowthOpKind.B1], growth.KIND_CHAINS[GrowthOpKind.B3]]
+
+        def spy(m, kinds, final):
+            assert tuple(kinds) not in guarded, "a guarded chain search started"
+            searched.append(tuple(kinds))
+            return search(m, kinds, final)
+
+        monkeypatch.setattr(growth, "_sequence_search", spy)
+        _, step = reduce_once(_canonicalize(helpers.leapfrog(c60)), Regime.AB_OPS)
+        assert step.kind is GrowthOpKind.A6
+        assert searched == [growth.KIND_CHAINS[GrowthOpKind.A6]]
+
+    @pytest.mark.parametrize("i, payload, first", [
+        (3, ((2, 28), (2, 16), (2, 20)), GrowthOpKind.B2),
+        (3, ((2, 55), (2, 16), (2, 57)), GrowthOpKind.B4),
+        (6, ((2, 40), (2, 30), (2, 57)), GrowthOpKind.A7),
+    ])
+    def test_ab_undo_order_on_the_heptagon_ipr_class(self, gen_seven, i, payload, first):
+        """The heptagon IPR class tries A7, then B2, then B4; the A7 map admits
+        B2 and B4 inverses as well."""
+        base = _canonicalize(helpers.leapfrog(gen_seven.sorted_fullerenes()[i]))
+        m = apply_growth(base, GrowthOpKind.B4, payload)
+        assert classify_shape(m) is FamilyClass.F1_IPR
+        _, step = reduce_once(m, Regime.AB_OPS)
+        assert step.kind is first
+
     def test_leapfrog_of_dodecahedron_is_the_spiral_c60(self, dodeca, c60):
         assert helpers.leapfrog(dodeca).canonical_code() == c60.canonical_code()
 
@@ -237,30 +274,37 @@ class TestReduce:
 
 class TestSequenceSearch:
     def test_every_composite_kind_undoes_its_own_image(self, oracle5):
-        """The straightening searches recover each composite chain exactly."""
+        """The straightening searches recover each growth operation's chain
+        exactly."""
         from fforge.growth import (
-            COMPOSITE_KINDS,
+            KIND_CHAINS,
+            _SOURCE_CLASSES,
             GrowthStep,
-            _composite_successors,
+            _chain_successors,
             _sequence_search,
             replay_step,
         )
 
-        maps = [_canonicalize(e.map) for e in oracle5.entries.values()]
+        fullerenes = [_canonicalize(e.map) for e in oracle5.entries.values()]
+        # A6 and A7 act on the heptagon class, which A5 leads to
+        heptagon_maps = (
+            _canonicalize(raw)
+            for m in fullerenes
+            for _, _, raw in _chain_successors(m, GrowthOpKind.A5)
+        )
         pending = {
-            GrowthOpKind.B1, GrowthOpKind.B2, GrowthOpKind.B3, GrowthOpKind.B4,
+            GrowthOpKind.A3, GrowthOpKind.A4, GrowthOpKind.A5, GrowthOpKind.A6,
+            GrowthOpKind.A7, GrowthOpKind.B1, GrowthOpKind.B2, GrowthOpKind.B3,
+            GrowthOpKind.B4,
         }
-        for m in maps:
+        for m in itertools.chain(fullerenes, heptagon_maps):
             for op in sorted(pending, key=lambda k: k.name):
-                for _, _, raw in _composite_successors(m, op):
+                for _, _, raw in _chain_successors(m, op):
                     image = _canonicalize(raw)
-                    got = _sequence_search(
-                        image, COMPOSITE_KINDS[op],
-                        (FamilyClass.F, FamilyClass.F_IPR),
-                    )
+                    got = _sequence_search(image, KIND_CHAINS[op], _SOURCE_CLASSES[op])
                     assert got is not None
                     pred, sites = got
-                    assert pred.num_faces == image.num_faces - len(COMPOSITE_KINDS[op])
+                    assert pred.num_faces == image.num_faces - len(KIND_CHAINS[op])
                     step = GrowthStep(op, ("trunc", sites), image.canonical_code())
                     out = replay_step(pred, step)
                     assert out.canonical_code() == image.canonical_code()
@@ -372,6 +416,46 @@ def test_reduce_traces_are_pinned(regime, c60, gen_seven):
     maps = [c60] + [gen_seven.entries[c].map for c in gen_seven.fullerene_codes()[5]]
     text = "".join(reduce_to_dodecahedron(m, regime).to_jsonl() for m in maps)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REDUCE_TRACES[regime]
+
+
+# sha256 of the JSONL traces that reduce the seven-closure fullerenes to
+# p6 = 8 and the leapfrogs of those with at most 15 faces (38 maps), per regime
+PINNED_CORPUS_TRACES = {
+    Regime.SEVEN: "d12492d6c3ef03a98aab81fa4e3719edd996f3129040fe4707780b25def710a1",
+    Regime.A_OPS: "456742b784e61bd9d6a8cb64ad20a1e576bf3c8e1a85c01b6f7b1233c89fcb40",
+    Regime.AB_OPS: "97dc4a931f6748adf8e14523978e25c11125abdaf034c29378add9332d298a91",
+}
+
+
+@pytest.fixture(scope="module")
+def trace_corpus():
+    fullerenes = enumerate_closure(EnumerationJob(Regime.SEVEN, 8)).sorted_fullerenes()
+    return fullerenes + [helpers.leapfrog(m) for m in fullerenes if m.num_faces <= 15]
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_corpus_traces_are_pinned(regime, trace_corpus):
+    assert len(trace_corpus) == 38
+    text = "".join(reduce_to_dodecahedron(m, regime).to_jsonl() for m in trace_corpus)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CORPUS_TRACES[regime]
+
+
+# sha256 of each closure fixture's (code, parent, step) records in code order
+PINNED_CLOSURE_STEPS = {
+    Regime.SEVEN: "abfa2d6f215d522d7f4058a41bc0bdbc25b1eea444910811707d0eb1d3e77513",
+    Regime.A_OPS: "1e91bf48c93e5d71b5cda390621ab757f2d3fe358cf9b7296282808663bef623",
+    Regime.AB_OPS: "4756b836b89393de96900d4e1b4e3b4f6a093383bc19acd0123c3a08cb52e5ff",
+}
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_closure_steps_are_pinned(regime, gen_seven, gen_a, gen_ab):
+    gen = {Regime.SEVEN: gen_seven, Regime.A_OPS: gen_a, Regime.AB_OPS: gen_ab}[regime]
+    text = "".join(
+        json.dumps([code.hex(), e.parent and e.parent.hex(), e.step and e.step.to_json()]) + "\n"
+        for code, e in sorted(gen.entries.items())
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CLOSURE_STEPS[regime]
 
 
 class TestTraceSerialization:
