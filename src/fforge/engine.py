@@ -239,6 +239,8 @@ def oracle_generate(max_p6: int, include_reflection: bool = True) -> GeneratedSe
     Exhaustive face-spiral windup over every pentagon placement; complete far
     below the known spiral failure threshold, hence the hard bound.
     """
+    if max_p6 < 0:
+        raise MapError("max_p6 must be nonnegative")
     if max_p6 > 30:
         raise BoundTooLargeError("spiral completeness is only assumed up to p6 = 30")
     out = GeneratedSet(max_p6)

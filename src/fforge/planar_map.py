@@ -1,15 +1,13 @@
 """Oriented 3-regular planar maps encoded by darts.
 
-A map is stored as two permutations on dart ids: ``twin`` (the fixed-point-free
-involution pairing the two sides of each edge) and ``next`` (counterclockwise
-rotation of darts around their source vertex).  Vertices, edges and faces are
-orbits of ``next``, ``twin`` and ``next . twin`` respectively; nothing else is
+A map is stored as one permutation on dart ids, ``twin``: the fixed-point-free
+involution pairing the two sides of each edge.  The counterclockwise rotation
+``next`` of darts around their source vertex is fixed by the dart numbering:
+vertex ``v`` owns darts ``3v``, ``3v+1``, ``3v+2`` in rotation order, so
+``next`` is ``3v + (j+1) % 3``.  Vertices, edges and faces are orbits of
+``next``, ``twin`` and ``next . twin`` respectively; nothing else is
 authoritative state.  Maps are immutable after validation, so they can be
-shared freely between threads and used as dictionary keys via their canonical
-codes.
-
-Dart numbering: vertex ``v`` owns darts ``3v``, ``3v+1``, ``3v+2`` in rotation
-order, so ``next`` is just ``3v + (j+1) % 3``.
+shared freely and used as dictionary keys via their canonical codes.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
@@ -58,9 +56,9 @@ class VertexOverflowError(MapError):
 class PlanarMap:
     """Immutable oriented 3-regular planar map on the sphere."""
 
-    def __init__(self, twin: Sequence[int], nxt: Sequence[int], _validated: bool = False):
+    def __init__(self, twin: Sequence[int], _validated: bool = False):
         self._twin = tuple(twin)
-        self._next = tuple(nxt)
+        self._next = _standard_next(len(self._twin))
         if not _validated:
             self._validate()
 
@@ -95,18 +93,16 @@ class PlanarMap:
                 if back is None:
                     raise AsymmetricError(f"vertex {v} lists {u} but not vice versa")
                 twin[3 * v + j] = 3 * u + back
-        return cls(twin, _standard_next(3 * n))
+        return cls(twin)
 
     def _validate(self) -> None:
         n = len(self._twin)
-        if n == 0 or n % 3 != 0 or len(self._next) != n:
-            raise NonCubicError("dart count must be 3V with matching permutations")
+        if n == 0 or n % 3 != 0:
+            raise NonCubicError("dart count must be 3V")
         for d in range(n):
             t = self._twin[d]
             if t == d or self._twin[t] != d:
                 raise NonCubicError(f"twin is not a fixed-point-free involution at dart {d}")
-            if self._next[d] // 3 != d // 3:
-                raise NonCubicError(f"next must preserve source vertices (dart {d})")
         # loops and parallel edges
         seen = set()
         for d in range(n):
@@ -179,14 +175,6 @@ class PlanarMap:
         """Next dart along the face to the left of ``d``."""
         return self._next[self._twin[d]]
 
-    def dart(self, u: int, v: int) -> int:
-        """The dart from u to v; raises if the edge does not exist."""
-        for j in range(3):
-            d = 3 * u + j
-            if self._twin[d] // 3 == v:
-                return d
-        raise MapError(f"no edge between {u} and {v}")
-
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Face orbits as tuples of darts, each traced by ``face_next``."""
@@ -233,9 +221,6 @@ class PlanarMap:
     def neighbors(self, v: int) -> tuple[int, int, int]:
         return tuple(self._twin[3 * v + j] // 3 for j in range(3))
 
-    def rotation_lists(self) -> list[list[int]]:
-        return [list(self.neighbors(v)) for v in range(self.num_vertices)]
-
     def edge_corner_faces(self, d: int) -> tuple[int, int]:
         """The two faces at the endpoints of dart d's edge, off the edge itself.
 
@@ -248,14 +233,10 @@ class PlanarMap:
         )
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PlanarMap)
-            and self._twin == other._twin
-            and self._next == other._next
-        )
+        return isinstance(other, PlanarMap) and self._twin == other._twin
 
     def __hash__(self) -> int:
-        return hash((self._twin, self._next))
+        return hash(self._twin)
 
     def __repr__(self) -> str:
         return f"PlanarMap(V={self.num_vertices}, E={self.num_edges}, F={self.num_faces})"
@@ -428,15 +409,16 @@ class PlanarMap:
         for d in range(n):
             new_twin[dart_map[d]] = dart_map[twin[d]]
         # a bijective relabeling of a validated map needs no second validation
-        out = PlanarMap(new_twin, _standard_next(n), _validated=True)
+        out = PlanarMap(new_twin, _validated=True)
         # the copy reads the code from dart 0 unreflected, the first candidate
         # its own search would try, so that start wins
         out._code_cache[include_reflection] = (code, (0, out._next, False))
         return out, dart_map, refl
 
 
+@lru_cache(maxsize=None)
 def _standard_next(num_darts: int) -> tuple[int, ...]:
-    """The rotation ``3v + j -> 3v + (j+1) % 3`` every built map uses."""
+    """The rotation ``3v + j -> 3v + (j+1) % 3`` every map uses."""
     return tuple(3 * (d // 3) + (d + 1) % 3 for d in range(num_darts))
 
 

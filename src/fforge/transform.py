@@ -2,10 +2,19 @@
 
 A truncation site names a face, a starting dart on that face's walk and a
 count ``s`` of consecutive edges to cut off (``s = 0`` cuts a single corner).
-The cut replaces the run by a new (s+3)-gon, shrinks the host face to a
-(k-s+1)-gon and grows the two side faces flanking the run by one edge each;
-straightening along the edge between the new face and the shrunk face undoes
-it exactly.
+The cut is an edge insertion: two new vertices M1 and M2 split the face
+edges on either side of the run and are joined by one new edge.  That makes
+the run a new (s+3)-gon, shrinks the host face to a (k-s+1)-gon and grows
+the two side faces flanking the run by one edge each.  Straightening is the
+edge deletion that undoes it: the edge's two endpoints are smoothed away and
+its two faces merge.
+
+Labeling contract: ``truncate`` keeps every dart id of its input and appends
+M1 and M2 as the last two vertices; ``straighten`` drops the edge's two
+endpoints and shifts every later vertex id down, so it gives back a
+truncation's input dart for dart.  ``growth._canonical_site`` breaks ties
+between automorphic starts by raw dart id, so reduction traces depend on
+these labels.
 """
 
 from __future__ import annotations
@@ -67,63 +76,55 @@ class TruncationResult:
     map: PlanarMap
     new_edge: EdgeRef
     new_face: int
-    shrunk_face: int
 
 
 @dataclass(frozen=True)
 class StraighteningResult:
     map: PlanarMap
     inverse_site: TruncationSite
-    merged_face: int
 
 
-def _run_vertices(m: PlanarMap, site: TruncationSite) -> tuple[list[int], int, int, list[int]]:
-    """Vertices of the cut run plus the flanking face vertices and off-run thirds."""
-    fo = m.face_of
-    if fo[site.start_dart] != site.face:
+def _flank_darts(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
+    """The face darts into the run's first vertex and out of its last."""
+    d_in = site.start_dart
+    for _ in range(m.face_sizes[site.face] - 1):
+        d_in = m.face_next(d_in)
+    d_out = site.start_dart
+    for _ in range(site.s):
+        d_out = m.face_next(d_out)
+    return d_in, d_out
+
+
+def _run_darts(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
+    """``_flank_darts`` of a site; InvalidSiteError unless its run of
+    vertices can be cut off."""
+    if m.face_of[site.start_dart] != site.face:
         raise InvalidSiteError("start dart is not on the site face")
     k = m.face_sizes[site.face]
     if not (0 <= site.s <= k - 2):
         raise InvalidSiteError(f"s = {site.s} out of range for a {k}-gon")
+    d_in, d_out = _flank_darts(m, site)
     walk = [site.start_dart]
     for _ in range(site.s):
         walk.append(m.face_next(walk[-1]))
-    if site.s == 0:
-        w = [m.source(site.start_dart)]
-        nxt_v = m.target(site.start_dart)
-    else:
-        w = [m.source(d) for d in walk[: site.s]]
-        w.append(m.target(walk[site.s - 1]))
-        nxt_v = m.target(walk[site.s])
-    # dart into w[0] along the face walk
-    d_in = site.start_dart
-    for _ in range(k - 1):
-        d_in = m.face_next(d_in)
-    prev_v = m.source(d_in)
-    if len(set(w)) != len(w):
-        raise InvalidSiteError("run revisits a vertex")
-    thirds = []
+    w = [m.source(d) for d in walk]
+    prev_v, nxt_v = m.source(d_in), m.target(d_out)
     wset = set(w)
+    if len(wset) != len(w):
+        raise InvalidSiteError("run revisits a vertex")
     for i, wi in enumerate(w):
         ring = {prev_v if i == 0 else w[i - 1], nxt_v if i == len(w) - 1 else w[i + 1]}
         third = [u for u in m.neighbors(wi) if u not in ring]
         if len(third) != 1 or third[0] in wset:
             raise InvalidSiteError("run touches a chord of the face")
-        thirds.append(third[0])
     if prev_v in wset or nxt_v in wset:
         raise InvalidSiteError("flanking vertices collide with the run")
-    return w, prev_v, nxt_v, thirds
+    return d_in, d_out
 
 
 def side_face_sizes(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
     """Sizes of the two faces meeting the site face along the flanking edges."""
-    k = m.face_sizes[site.face]
-    d_in = site.start_dart
-    for _ in range(k - 1):
-        d_in = m.face_next(d_in)
-    d_out = site.start_dart
-    for _ in range(site.s):
-        d_out = m.face_next(d_out)
+    d_in, d_out = _flank_darts(m, site)
     m1 = m.face_sizes[m.face_of[m.twin(d_in)]]
     m2 = m.face_sizes[m.face_of[m.twin(d_out)]]
     return m1, m2
@@ -132,66 +133,34 @@ def side_face_sizes(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
 def truncate(m: PlanarMap, site: TruncationSite) -> TruncationResult:
     """Cut ``s`` consecutive edges off a face; pure rewrite, returns a new map.
 
-    The new (s+3)-gon shares one edge with the shrunk host face; that edge is
-    reported so the rewrite can be undone deterministically.
+    The cut inserts one edge M1-M2.  M1 splits the face edge entering the run
+    and M2 the one leaving it; the run vertices keep their darts and become
+    the new face's X_i.  The new edge is reported so the rewrite can be
+    undone deterministically.
     """
-    w, prev_v, nxt_v, thirds = _run_vertices(m, site)
+    d_in, d_out = _run_darts(m, site)
+    n = m.num_darts
+    twin = list(m._twin)
+    w0_prev, nxt_ws = twin[d_in], twin[d_out]
+    # M1 is darts n..n+2 (to prev, to M2, to w_0), M2 is n+3..n+5 (to w_s,
+    # to M1, to nxt), in counterclockwise order
+    twin += (d_in, n + 4, w0_prev, d_out, n + 1, nxt_ws)
+    twin[d_in], twin[w0_prev], twin[d_out], twin[nxt_ws] = n, n + 2, n + 3, n + 5
+    out = PlanarMap(twin)
+    new_face = out.face_of[n + 4]
+    _check_truncation_deltas(m, site, out, new_face)
+    return TruncationResult(out, EdgeRef(n + 1), new_face)
+
+
+def _check_truncation_deltas(m, site, out, new_face):
     s = site.s
-    old_pv = p_vector(m)
-    rot = m.rotation_lists()
-    nv_old = m.num_vertices
-    removed = set(w)
-    # compact ids for survivors, then append M1, X_0..X_s, M2
-    remap = {}
-    idx = 0
-    for v in range(nv_old):
-        if v not in removed:
-            remap[v] = idx
-            idx += 1
-    m1_id = idx
-    x_ids = list(range(idx + 1, idx + 1 + len(w)))
-    m2_id = idx + 1 + len(w)
-
-    new_rot: list[list[int]] = []
-    for v in range(nv_old):
-        if v in removed:
-            continue
-        row = []
-        for u in rot[v]:
-            if u == w[0] and v == prev_v:
-                row.append(m1_id)
-            elif u == w[-1] and v == nxt_v:
-                row.append(m2_id)
-            elif u in removed:
-                row.append(x_ids[w.index(u)])
-            else:
-                row.append(remap[u])
-        new_rot.append(row)
-    # when prev_v == nxt_v (s = k-2) both w[0] and w[-1] entries above were
-    # rewritten inside one list; the values are distinct so this is safe
-    new_rot.append([remap[prev_v], m2_id, x_ids[0]])  # M1: (prev, M2, X_0)
-    for i in range(len(w)):
-        left = m1_id if i == 0 else x_ids[i - 1]
-        right = m2_id if i == len(w) - 1 else x_ids[i + 1]
-        new_rot.append([remap[thirds[i]], left, right])
-    new_rot.append([m1_id, remap[nxt_v], x_ids[-1]])  # M2: (M1, nxt, X_s)
-
-    out = PlanarMap.from_rotation(new_rot)
-    new_edge_dart = out.dart(m1_id, m2_id)
-    new_face = out.face_of[out.dart(m1_id, x_ids[0])]
-    shrunk = out.face_of[new_edge_dart] if out.face_of[new_edge_dart] != new_face else out.face_of[out.twin(new_edge_dart)]
-    _check_truncation_deltas(m, site, old_pv, out, new_face, s)
-    return TruncationResult(out, EdgeRef(new_edge_dart), new_face, shrunk)
-
-
-def _check_truncation_deltas(m, site, old_pv, out, new_face, s):
     if out.num_vertices != m.num_vertices + 2 or out.num_edges != m.num_edges + 3:
         raise MapError("truncation changed vertex/edge counts incorrectly")
     if out.face_sizes[new_face] != s + 3:
         raise MapError("new face has the wrong size")
     k = m.face_sizes[site.face]
     m1, m2 = side_face_sizes(m, site)
-    expected = dict(old_pv.counts)
+    expected = dict(p_vector(m).counts)
     for size, delta in ((s + 3, +1), (k, -1), (k - s + 1, +1), (m1, -1), (m1 + 1, +1), (m2, -1), (m2 + 1, +1)):
         expected[size] = expected.get(size, 0) + delta
     expected = {kk: vv for kk, vv in expected.items() if vv}
@@ -217,79 +186,38 @@ def three_belt_through(m: PlanarMap, fp: int, fq: int) -> Optional[int]:
 
 
 def straighten(m: PlanarMap, edge: EdgeRef) -> StraighteningResult:
-    """Merge the two faces of an edge; combinatorial inverse of truncation.
+    """Delete an edge and merge its two faces; the inverse of truncation.
 
+    Each endpoint's two other edges fuse into one.  The inverse site cuts the
+    run of the old ``fq = face_of[twin(d)]`` off the merged face again.
     Undefined on the simplex and whenever the edge's faces belong to a
     3-belt; the offending third face is reported in that case.
     """
     if m.num_vertices == 4:
         raise SimplexInputError("no straightening is defined on the simplex")
     d = edge.dart
-    fp, fq = m.face_of[d], m.face_of[m.twin(d)]
+    td = m.twin(d)
+    fp, fq = m.face_of[d], m.face_of[td]
     if fp == fq:
         raise InvalidSiteError("edge has the same face on both sides")
     blocker = three_belt_through(m, fp, fq)
     if blocker is not None:
         raise ThreeBeltObstructionError(blocker)
-    u, v = m.source(d), m.target(d)
-    rot = m.rotation_lists()
-    xu = [t for t in rot[u] if t != v]  # u's two other neighbors
-    xv = [t for t in rot[v] if t != u]
-    remap = {}
-    idx = 0
-    for t in range(m.num_vertices):
-        if t not in (u, v):
-            remap[t] = idx
-            idx += 1
-    new_rot = []
-    for t in range(m.num_vertices):
-        if t in (u, v):
-            continue
-        row = []
-        for nb in rot[t]:
-            if nb == u:
-                row.append(remap[xu[0] if t == xu[1] else xu[1]])
-            elif nb == v:
-                row.append(remap[xv[0] if t == xv[1] else xv[1]])
-            else:
-                row.append(remap[nb])
-        new_rot.append(row)
-    out = PlanarMap.from_rotation(new_rot)
-    if out.num_faces != m.num_faces - 1:
-        raise MapError("straightening did not merge exactly one face pair")
-    # run of the inverse truncation: the old fq-side path between the fused
-    # edges, read off in the merged map
-    b = m.face_sizes[fq]
-    walk = m.faces[fq]
-    path_old = [m.source(dd) for dd in walk]
-    # normalize so the straightened edge is traversed path[iu] -> path[iv]
-    iu = path_old.index(u)
-    iv = path_old.index(v)
-    if (iu + 1) % b != iv:
-        iu, iv = iv, iu
-    seq = [remap[path_old[(iv + 1 + i) % b]] for i in range(b - 2)]
-    merged_size = m.face_sizes[fp] + b - 4
-    merged_vertices = frozenset(
-        remap[t] for t in (m.face_vertex_sets[fp] | m.face_vertex_sets[fq]) if t not in (u, v)
-    )
-    merged = None
-    for f in range(out.num_faces):
-        if out.face_sizes[f] == merged_size and out.face_vertex_sets[f] == merged_vertices:
-            merged = f
-            break
-    if merged is None:
-        raise MapError("could not locate the merged face after straightening")
-    # the merged walk traverses the old fq arc in order, so the site dart
-    # leaves seq[0] along the merged face
-    start = None
-    for dd in out.faces[merged]:
-        if out.source(dd) == seq[0] and (len(seq) == 1 or out.target(dd) == seq[1]):
-            start = dd
-            break
-    if start is None:
-        raise MapError("merged face walk does not contain the inverse run")
-    site = TruncationSite(merged, start, b - 3)
-    return StraighteningResult(out, site, merged)
+    twin = list(m._twin)
+    for e in (d, td):
+        # join the far ends of the endpoint's two other edges
+        p, q = twin[m.next(e)], twin[m.next(m.next(e))]
+        twin[p], twin[q] = q, p
+    lo, hi = sorted((d // 3, td // 3))
+
+    def relabel(x: int) -> int:
+        return x - 3 * ((x // 3 > lo) + (x // 3 > hi))
+
+    out = PlanarMap([relabel(twin[x]) for x in range(m.num_darts) if x // 3 not in (lo, hi)])
+    # the inverse run starts past the deleted edge's two ends along fq
+    start = relabel(m.face_next(m.face_next(td)))
+    site = TruncationSite(out.face_of[start], start, m.face_sizes[fq] - 3)
+    return StraighteningResult(out, site)
 
 
 def enumerate_sites(

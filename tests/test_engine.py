@@ -230,6 +230,12 @@ class TestCli:
         assert not out.exists() and not traces.exists()
         assert "interrupted" in capsys.readouterr().err
 
+    def test_negative_oracle_bound_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "o.plc"
+        assert main(["oracle", "--max-hexagons", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_diff_detects_difference(self, tmp_path):
         a, b = tmp_path / "a.plc", tmp_path / "b.plc"
         main(["oracle", "--max-hexagons", "3", "--out", str(a)])

@@ -374,7 +374,7 @@ class TestReplayStep:
         pred, step, _ = last_step
         out = replay_step(pred, step)
         assert out.canonical_code() == step.code
-        fresh = PlanarMap(out._twin, out._next)
+        fresh = PlanarMap(out._twin)
         assert out._canonical(True) == fresh._canonical(True)
 
     @staticmethod

@@ -1,4 +1,5 @@
-import random
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from fforge import (
     straighten,
     truncate,
 )
+from fforge.planar_map import MapError
 from fforge.transform import (
     InvalidSiteError,
     SimplexInputError,
@@ -110,13 +112,15 @@ class TestStraighten:
         assert hit == 3
 
     def test_round_trip_examples(self, dodeca):
+        """Straightening the new edge gives back the map and the site, dart
+        for dart."""
         for site in all_sites(dodeca)[::5]:
             res = truncate(dodeca, site)
             back = straighten(res.map, res.new_edge)
-            assert back.map.canonical_code() == dodeca.canonical_code()
+            assert back.map == dodeca
+            assert back.inverse_site == site
             # the recorded inverse site regenerates the truncation
-            redo = truncate(back.map, back.inverse_site).map
-            assert redo.canonical_code() == res.map.canonical_code()
+            assert truncate(back.map, back.inverse_site).map == res.map
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -125,7 +129,8 @@ class TestStraighten:
         site = data.draw(st.sampled_from(all_sites(m)))
         res = truncate(m, site)
         back = straighten(res.map, res.new_edge)
-        assert back.map.canonical_code() == m.canonical_code()
+        assert back.map == m
+        assert back.inverse_site == site
 
 
 class TestEnumerateSites:
@@ -176,3 +181,73 @@ class TestFlagTransitions:
                 assert not is_flag(out)
                 assert len(find_belts(out, 3)) >= 1
                 break
+
+
+# sha256 over every dart's straightening and every fifth site (s = 0..k) of
+# each face's truncation, on the closure fixtures and the helper maps below;
+# a straightening records (twin, inverse site), a truncation the canonical
+# code and new face size, and a failure its exception type.
+PINNED_STRAIGHTEN = "6170ac9e91ac33ca40a4f7da2ce4c24c295058898e5d568a99a3824a7e2753a6"
+PINNED_TRUNCATE = "eb7d1dadd736615289f269b7cb5986dbf3085b0192da377f82501180c455e9bb"
+
+
+@pytest.fixture(scope="module")
+def rewrite_maps(gen_seven, gen_a, gen_ab, c60):
+    maps = [e.map for gen in (gen_seven, gen_a, gen_ab) for e in gen.entries.values()]
+    return maps + [
+        helpers.cube_map(),
+        helpers.barrel_c24(),
+        c60,
+        helpers.two_edge_connected_cubic(),
+        helpers.bridged_cubic(),
+    ]
+
+
+def _outcome_digest(records) -> str:
+    h = hashlib.sha256()
+    for rec in records:
+        h.update((json.dumps(rec) + "\n").encode())
+    return h.hexdigest()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except MapError as e:
+        return type(e).__name__
+
+
+def test_straighten_outcomes_are_pinned(rewrite_maps):
+    def run(m, d):
+        r = straighten(m, EdgeRef(d))
+        site = r.inverse_site
+        return [list(r.map._twin), [site.face, site.start_dart, site.s]]
+
+    records = (
+        _outcome(lambda: run(m, d)) for m in rewrite_maps for d in range(m.num_darts)
+    )
+    assert _outcome_digest(records) == PINNED_STRAIGHTEN
+
+
+def test_truncate_outcomes_are_pinned(rewrite_maps):
+    def run(m, site):
+        r = truncate(m, site)
+        return [r.map.canonical_code().hex(), r.map.face_sizes[r.new_face]]
+
+    records = []
+    failures = set()
+    for m in rewrite_maps:
+        sites = [
+            TruncationSite(f, d, s)
+            for f, cyc in enumerate(m.faces)
+            for d in cyc
+            for s in range(len(cyc) + 1)
+        ]
+        for site in sites[::5]:
+            rec = _outcome(lambda: run(m, site))
+            if isinstance(rec, str):
+                failures.add(rec)
+            records.append(rec)
+    # the sample reaches both the site checks and the face-size delta check
+    assert failures == {"InvalidSiteError", "MapError"}
+    assert _outcome_digest(records) == PINNED_TRUNCATE
