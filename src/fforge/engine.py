@@ -495,7 +495,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MapError as exc:
+    except (MapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

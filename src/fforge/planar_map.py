@@ -284,6 +284,30 @@ class PlanarMap:
                 d = sigma[d]
         return out
 
+    def _relabeling(self, d0: int, sigma) -> list[int]:
+        """``dart_map[old] = new`` of the labeling walk from ``d0`` in ``sigma``.
+
+        Vertex v of the relabeled map is the v-th vertex the walk reaches, its
+        darts numbered in sigma order from the dart the walk entered by.
+        """
+        twin = self._twin
+        seen = [False] * self.num_vertices
+        seen[d0 // 3] = True
+        refs = [d0]
+        dart_map = [0] * self.num_darts
+        i = 0
+        while i < len(refs):
+            d = refs[i]
+            for j in range(3):
+                dart_map[d] = 3 * i + j
+                td = twin[d]
+                if not seen[td // 3]:
+                    seen[td // 3] = True
+                    refs.append(td)
+                d = sigma[d]
+            i += 1
+        return dart_map
+
     def _canonical_search(self, include_reflection: bool, seed: Optional[list[int]] = None):
         """``(symbols, winning start)`` of the least code over all starts.
 
@@ -292,6 +316,16 @@ class PlanarMap:
         is None, as soon as a prefix or a walk falls below it, or when no walk
         reads it; otherwise the winner is the first start whose walk reads
         it, the start the unbounded search picks.
+
+        Starts are pruned by the automorphisms the search finds.  A walk
+        that reads the winner's code in full gives the automorphism that
+        sends the winner to it (orientation-reversing when the two starts
+        differ in reflection), and every start is merged with its image in
+        a union-find over the starts.  A start whose class already holds a
+        walked start is skipped: starts in one orbit read the same walk.
+        So the result is unchanged: the first start that reads the least
+        code cannot lie in the orbit of an earlier start, which would have
+        read that code first.
         """
         fo = self.face_of
         fs = self.face_sizes
@@ -318,7 +352,22 @@ class PlanarMap:
             return None
         best = seed
         winner = None
-        for d, sigma, refl, p in cands:
+        # union-find over the candidates; walked[root]: the class holds a
+        # walked start; slot[refl][d]: the candidate (d, refl)
+        parent = list(range(len(cands)))
+        walked = [False] * len(cands)
+        slot = win_map = None
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        for i, (d, sigma, refl, p) in enumerate(cands):
+            root = find(i)
+            if walked[root]:
+                continue
+            walked[root] = True
             syms = self._code_symbols(sigma, d, best)
             if syms is None:
                 continue
@@ -328,8 +377,27 @@ class PlanarMap:
                     return None  # the map's code is below the claim
                 best = full
                 winner = (d, sigma, refl)
+                win_map = None
             elif winner is None:
                 winner = (d, sigma, refl)  # first walk reading the claim
+            else:
+                # a tie: psi = (relabeling from d)^-1 . (relabeling from
+                # winner) is an automorphism that sends the winner to d
+                if win_map is None:
+                    win_map = self._relabeling(winner[0], winner[1])
+                if slot is None:
+                    slot = ([-1] * len(twin), [-1] * len(twin))
+                    for j, c in enumerate(cands):
+                        slot[c[2]][c[0]] = j
+                inv = [0] * len(twin)
+                for old, new in enumerate(self._relabeling(d, sigma)):
+                    inv[new] = old
+                flip = refl != winner[2]
+                for j, c in enumerate(cands):
+                    a, b = find(j), find(slot[c[2] != flip][inv[win_map[c[0]]]])
+                    if a != b:
+                        parent[a] = b
+                        walked[b] = walked[b] or walked[a]
         if winner is None:
             return None
         return best, winner
@@ -388,23 +456,7 @@ class PlanarMap:
         code, (d0, sigma, refl) = self._canonical(include_reflection)
         twin = self._twin
         n = self.num_darts
-        # vertex v of the copy is the v-th vertex the labeling walk reaches,
-        # its darts numbered in sigma order from the dart the walk entered by
-        seen = [False] * self.num_vertices
-        seen[d0 // 3] = True
-        refs = [d0]
-        dart_map = [0] * n
-        i = 0
-        while i < len(refs):
-            d = refs[i]
-            for j in range(3):
-                dart_map[d] = 3 * i + j
-                td = twin[d]
-                if not seen[td // 3]:
-                    seen[td // 3] = True
-                    refs.append(td)
-                d = sigma[d]
-            i += 1
+        dart_map = self._relabeling(d0, sigma)
         new_twin = [0] * n
         for d in range(n):
             new_twin[dart_map[d]] = dart_map[twin[d]]
@@ -601,7 +653,11 @@ def encode_planar_code(maps: Iterable[PlanarMap], with_header: bool = True) -> b
 
 
 def decode_planar_code(data: bytes) -> list[PlanarMap]:
-    """Parse a planar_code byte stream into validated maps."""
+    """Parse a planar_code byte stream into validated maps.
+
+    A malformed record raises its ``MapError`` subclass with the message
+    prefixed by ``record {i}: ``, where ``i`` counts records from 0.
+    """
     buf = io.BytesIO(data)
     head = buf.read(len(PLANAR_CODE_HEADER))
     if head != PLANAR_CODE_HEADER:
@@ -613,22 +669,29 @@ def decode_planar_code(data: bytes) -> list[PlanarMap]:
         nb = buf.read(1)
         if not nb:
             break
-        n = nb[0]
-        if n == 0:
-            raise VertexOverflowError("2-byte planar_code records are not supported")
-        rot: list[list[int]] = []
-        for _ in range(n):
-            row = []
-            while True:
-                c = buf.read(1)
-                if not c:
-                    raise TruncatedRecordError("record ended inside an adjacency list")
-                if c[0] == 0:
-                    break
-                row.append(c[0] - 1)
-            rot.append(row)
-        maps.append(PlanarMap.from_rotation(rot))
+        try:
+            maps.append(_decode_record(buf, nb[0]))
+        except MapError as exc:
+            raise type(exc)(f"record {len(maps)}: {exc}") from exc
     return maps
+
+
+def _decode_record(buf: io.BytesIO, n: int) -> PlanarMap:
+    """The map of one record whose vertex count byte ``n`` was just read."""
+    if n == 0:
+        raise VertexOverflowError("2-byte planar_code records are not supported")
+    rot: list[list[int]] = []
+    for _ in range(n):
+        row = []
+        while True:
+            c = buf.read(1)
+            if not c:
+                raise TruncatedRecordError("record ended inside an adjacency list")
+            if c[0] == 0:
+                break
+            row.append(c[0] - 1)
+        rot.append(row)
+    return PlanarMap.from_rotation(rot)
 
 
 def write_planar_code(path, maps: Iterable[PlanarMap]) -> None:

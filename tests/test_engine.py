@@ -310,6 +310,19 @@ class TestCli:
         assert out == "fullerene buckets agree\n"
         assert err.splitlines() == [f"{a}: ignored 2 records that are not fullerenes"]
 
+    @pytest.mark.parametrize("command", ["validate", "gen"])
+    def test_file_errors_are_reported_without_a_traceback(self, tmp_path, capsys, command):
+        missing = tmp_path / "no" / "such" / "x.plc"
+        argv = {
+            "validate": ["validate", str(missing)],
+            "gen": ["gen", "--regime", "seven", "--max-hexagons", "1", "--out", str(missing)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(missing) in err
+        assert "Traceback" not in err
+
     def test_python_dash_m_runs_the_cli(self):
         import os
         import subprocess

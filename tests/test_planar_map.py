@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -98,6 +99,22 @@ class TestCanonicalCode:
         assert maps[0].canonical_code() != maps[1].canonical_code()
         assert not helpers.maps_isomorphic(maps[0], maps[1])
 
+    def test_automorphisms_prune_the_search(self, dodeca, c60, monkeypatch):
+        """All 120 starts of the dodecahedron and C60 read the least code;
+        the automorphisms found by the first few ties cover the rest."""
+        walks = []
+        real = PlanarMap._code_symbols
+
+        def spy(self, sigma, d0, best):
+            walks.append(d0)
+            return real(self, sigma, d0, best)
+
+        monkeypatch.setattr(PlanarMap, "_code_symbols", spy)
+        for m in (dodeca, c60):
+            walks.clear()
+            PlanarMap(m._twin).canonical_code()
+            assert 1 < len(walks) <= 8
+
     def test_code_equality_matches_isomorphism(self, oracle5):
         maps = [e.map for e in oracle5.entries.values()]
         for i, a in enumerate(maps):
@@ -155,6 +172,17 @@ class TestPlanarCode:
     def test_truncated_record(self):
         blob = encode_planar_code([PlanarMap.from_rotation(TETRA_ROT)])
         with pytest.raises(TruncatedRecordError):
+            decode_planar_code(blob[:-3])
+
+    def test_bad_record_is_named(self, dodeca):
+        # K4 with one rotation flipped embeds on the torus, not the sphere
+        rot = [row[:] for row in TETRA_ROT]
+        rot[3] = list(reversed(rot[3]))
+        bad = bytes([4]) + b"".join(bytes([u + 1 for u in row] + [0]) for row in rot)
+        blob = encode_planar_code([dodeca]) + bad
+        with pytest.raises(NonSphericalError, match=r"^record 1: V-E\+F = 0, expected 2$"):
+            decode_planar_code(blob)
+        with pytest.raises(TruncatedRecordError, match="^record 1: "):
             decode_planar_code(blob[:-3])
 
     def test_two_byte_escape_rejected(self):
@@ -239,3 +267,52 @@ class TestHasCanonicalCode:
         two_byte = b"\0" + b"".join(s.to_bytes(2, "big") for s in [nv] + syms)
         for bad in (codes[1], lowered, two_byte, true[:-1], b"", b"\0", b"\0\0"):
             assert not relabeled(m, 2).has_canonical_code(bad)
+
+
+
+def _search_maps(gen_seven, gen_a, gen_ab):
+    """``(base, map)``: the closure fixture maps and the helper maps,
+    deduplicated by code, each as it is and in two seeded relabelings."""
+    helper_maps = [helpers.cube_map(), helpers.barrel_c24(), helpers.ipr_c60()]
+    helper_maps += [helpers.leapfrog(m) for m in (build_dodecahedron(), *helper_maps)]
+    bases = {}
+    for m in [e.map for g in (gen_seven, gen_a, gen_ab) for e in g.entries.values()] + helper_maps:
+        bases.setdefault(m.canonical_code(), m)
+    return [(m, r) for m in bases.values() for r in (m, relabeled(m, 1), relabeled(m, 2))]
+
+
+def _search_record(m: PlanarMap, other_code: bytes) -> str:
+    """Everything the canonical search decides, each time on a fresh copy of
+    ``m``: the code, canonical_form's dart map (which fixes the winning
+    start), flag and twin for both reflection flags, then has_canonical_code
+    and the winning start it caches, on the map's own code and on
+    ``other_code``."""
+    rec = []
+    for refl in (True, False):
+        fresh = PlanarMap(m._twin)
+        copy, dart_map, reflected = fresh.canonical_form(refl)
+        rec.append([fresh.canonical_code(refl).hex(), dart_map, reflected, copy._twin])
+    for code in (bytes.fromhex(rec[0][0]), other_code):
+        fresh = PlanarMap(m._twin)
+        found = fresh.has_canonical_code(code)
+        rec.append([found, found and fresh._canonical(True)[1][::2]])
+    return repr(rec) + "\n"
+
+
+# sha256 of _search_record over _search_maps (102 maps), where the other code
+# is that of the next base map with as many vertices
+PINNED_CANONICAL_SEARCH = "676bd27d7fbbd26dbadb79e20c2cd945fd970231b7b8b511c6d7d63ff52a1445"
+
+
+def test_canonical_search_results_are_pinned(gen_seven, gen_a, gen_ab):
+    pairs = _search_maps(gen_seven, gen_a, gen_ab)
+    by_size = {}
+    for base, m in pairs:
+        if m is base:
+            by_size.setdefault(base.num_vertices, []).append(base.canonical_code())
+    text = ""
+    for base, m in pairs:
+        group = by_size[base.num_vertices]
+        other = group[(group.index(base.canonical_code()) + 1) % len(group)]
+        text += _search_record(m, other)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CANONICAL_SEARCH
