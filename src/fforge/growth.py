@@ -579,7 +579,9 @@ def _try_undo(m: PlanarMap, dart: int, expect: Sequence[FamilyClass]):
 
 
 def _candidate_darts(m: PlanarMap, kind: GrowthOpKind):
-    """Edges that could be the new-face/shrunk-face seam of the given kind."""
+    """Edges that could be the new-face/shrunk-face seam of the given kind,
+    each as the dart whose twin lies on the (s+3)-gon the truncation made,
+    the face ``straighten`` reads the inverse run off."""
     s, k, m1, m2 = KIND_SIGNATURES[kind]
     fs = m.face_sizes
     new_sz = s + 3
@@ -597,7 +599,7 @@ def _candidate_darts(m: PlanarMap, kind: GrowthOpKind):
         ca, cb = m.edge_corner_faces(d)
         if sorted((fs[ca], fs[cb])) != corners:
             continue
-        out.append(d)
+        out.append(d if b == new_sz else m.twin(d))
     return out
 
 
@@ -698,7 +700,7 @@ def _reduce_a3(m: PlanarMap, emb, code: bytes):
     for dd in sorted(mid.faces[quad]):
         ca, cb = mid.edge_corner_faces(dd)
         if mid.face_sizes[ca] == 6 and mid.face_sizes[cb] == 6:
-            got2 = _try_undo(mid, dd, _FULLERENE_CLASSES)
+            got2 = _try_undo(mid, mid.twin(dd), _FULLERENE_CLASSES)
             if got2 is not None:
                 pred, site_a, _ = got2
                 return pred, GrowthStep(GrowthOpKind.A3, ("trunc", (site_a, site_b)), code)

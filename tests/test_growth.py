@@ -24,14 +24,17 @@ from fforge import (
 )
 from fforge.engine import EnumerationJob, enumerate_closure
 from fforge.growth import (
+    KIND_CHAINS,
     AtDodecahedronError,
     IllegalTransitionError,
     SiteMismatchError,
     _canonicalize,
+    _site_matches,
     replay_step,
 )
 from fforge.planar_map import MapError, PlanarMap
 from fforge.structure import FamilyClass, NotAFullereneError
+from fforge.transform import TruncationSite
 
 import helpers
 
@@ -405,9 +408,9 @@ class TestReplayStep:
 # sha256 of the JSONL traces that reduce C60 and the three fullerenes with
 # five hexagons, per regime.  Any change to a derivation trace fails here.
 PINNED_REDUCE_TRACES = {
-    Regime.SEVEN: "8fa9e1f5187504f8677019c9b6d74ec3cac9d152b9e13a7665f5ffe7381b58d0",
-    Regime.A_OPS: "1bf80641f99823ea4a753079417eab04cd6ea3afffda829e14f05815640fdd8b",
-    Regime.AB_OPS: "8a38dbca1550347bed9e4e27f8216ce488a8dcfd09f7d12908d3e5fd2a829815",
+    Regime.SEVEN: "63dce0956b50669087d01ffdb4d8225f38f2ae2a2d0518ba577c8a9e240cdbf1",
+    Regime.A_OPS: "1430800f25d5abfc5ccdae63ad526d011b65d47aed9337412c3e9243df129ad1",
+    Regime.AB_OPS: "f7ad53ae000eedb341d6f6e0a0d6cff83a2041162649b71a79f3f884086bab12",
 }
 
 
@@ -421,9 +424,9 @@ def test_reduce_traces_are_pinned(regime, c60, gen_seven):
 # sha256 of the JSONL traces that reduce the seven-closure fullerenes to
 # p6 = 8 and the leapfrogs of those with at most 15 faces (38 maps), per regime
 PINNED_CORPUS_TRACES = {
-    Regime.SEVEN: "d12492d6c3ef03a98aab81fa4e3719edd996f3129040fe4707780b25def710a1",
-    Regime.A_OPS: "456742b784e61bd9d6a8cb64ad20a1e576bf3c8e1a85c01b6f7b1233c89fcb40",
-    Regime.AB_OPS: "97dc4a931f6748adf8e14523978e25c11125abdaf034c29378add9332d298a91",
+    Regime.SEVEN: "18cf15868e4ce3edd25503e58ae56acfcddf219f383b9b3a803f62bad5158aaf",
+    Regime.A_OPS: "324036b5ea5eb8e2ba3d20c25aacd45302b33f44fc84782aa5c5b6563aa3d7fc",
+    Regime.AB_OPS: "7442374a3bde2d6b0e56ea6fe748f984789f6e5f3be77a785fe58cf0c9ece8d8",
 }
 
 
@@ -433,11 +436,46 @@ def trace_corpus():
     return fullerenes + [helpers.leapfrog(m) for m in fullerenes if m.num_faces <= 15]
 
 
+@pytest.fixture(scope="module")
+def corpus_traces(trace_corpus):
+    """The corpus's reduce traces in a regime, computed once per regime."""
+    traces = {}
+
+    def of(regime):
+        if regime not in traces:
+            traces[regime] = [reduce_to_dodecahedron(m, regime) for m in trace_corpus]
+        return traces[regime]
+
+    return of
+
+
 @pytest.mark.parametrize("regime", list(Regime))
-def test_corpus_traces_are_pinned(regime, trace_corpus):
+def test_corpus_traces_are_pinned(regime, trace_corpus, corpus_traces):
     assert len(trace_corpus) == 38
-    text = "".join(reduce_to_dodecahedron(m, regime).to_jsonl() for m in trace_corpus)
+    text = "".join(t.to_jsonl() for t in corpus_traces(regime))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CORPUS_TRACES[regime]
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_every_recorded_sub_site_matches_its_truncation(regime, c60, corpus_traces):
+    """Each sub-site of a reduce trace, read in the canonical labeling of the
+    map it cuts, has the signature of its truncation in the kind's chain; a
+    straightened edge oriented from the wrong face records another run."""
+    traces = corpus_traces(regime) + [reduce_to_dodecahedron(c60, regime)]
+    checked = 0
+    for trace in traces:
+        m = _canonicalize(build_dodecahedron())
+        for step in trace.steps:
+            if step.site[0] == "trunc":
+                cur = m
+                for (s, dart), kind in zip(step.site[1], KIND_CHAINS[step.kind], strict=True):
+                    cur = _canonicalize(cur)
+                    site = TruncationSite(cur.face_of[dart], dart, s)
+                    assert _site_matches(cur, site, kind), (step.kind, kind, s)
+                    cur = truncate(cur, site).map
+                    checked += 1
+            m = replay_step(m, step)
+    assert checked >= 200
 
 
 # sha256 of each closure fixture's (code, parent, step) records in code order
