@@ -345,47 +345,61 @@ _CAPS = {"D5": (GrowthOpKind.A1, build_D5k), "F3": (GrowthOpKind.A2, build_F3k)}
 _FULLERENE_CLASSES = (FamilyClass.F, FamilyClass.F_IPR)
 _F1_CLASSES = (FamilyClass.F1, FamilyClass.F1_IPR)
 
-_SOURCE_CLASSES: dict[GrowthOpKind, tuple[FamilyClass, ...]] = {
-    GrowthOpKind.T145: (FamilyClass.F_MINUS1,),
-    GrowthOpKind.T155: _FULLERENE_CLASSES,
-    GrowthOpKind.T2645: (FamilyClass.F_MINUS1,),
-    GrowthOpKind.T2655: _FULLERENE_CLASSES,
-    GrowthOpKind.T2656: _FULLERENE_CLASSES,
-    GrowthOpKind.T2755: _F1_CLASSES,
-    GrowthOpKind.T2756: _F1_CLASSES,
-    GrowthOpKind.A1: _FULLERENE_CLASSES,
-    GrowthOpKind.A2: _FULLERENE_CLASSES,
-    GrowthOpKind.A3: _FULLERENE_CLASSES,
-    GrowthOpKind.A4: _FULLERENE_CLASSES,
-    GrowthOpKind.A5: _FULLERENE_CLASSES,
-    GrowthOpKind.A6: _F1_CLASSES,
-    GrowthOpKind.A7: _F1_CLASSES,
-    GrowthOpKind.B1: _FULLERENE_CLASSES,
-    GrowthOpKind.B2: _FULLERENE_CLASSES,
-    GrowthOpKind.B3: _FULLERENE_CLASSES,
-    GrowthOpKind.B4: _FULLERENE_CLASSES,
+# (source classes, target classes) of each of the seven truncations
+_TRUNCATION_CLASSES: dict[GrowthOpKind, tuple[tuple[FamilyClass, ...], tuple[FamilyClass, ...]]] = {
+    GrowthOpKind.T145: ((FamilyClass.F_MINUS1,), (FamilyClass.F_MINUS1,)),
+    GrowthOpKind.T155: (_FULLERENE_CLASSES, (FamilyClass.F_MINUS1,)),
+    GrowthOpKind.T2645: ((FamilyClass.F_MINUS1,), _FULLERENE_CLASSES),
+    GrowthOpKind.T2655: (_FULLERENE_CLASSES, _FULLERENE_CLASSES),
+    GrowthOpKind.T2656: (_FULLERENE_CLASSES, _F1_CLASSES),
+    GrowthOpKind.T2755: (_F1_CLASSES, _FULLERENE_CLASSES),
+    GrowthOpKind.T2756: (_F1_CLASSES, _F1_CLASSES),
 }
 
-_TARGET_CLASSES: dict[GrowthOpKind, tuple[FamilyClass, ...]] = {
-    GrowthOpKind.T155: (FamilyClass.F_MINUS1,),
-    GrowthOpKind.T145: (FamilyClass.F_MINUS1,),
-    GrowthOpKind.T2645: _FULLERENE_CLASSES,
-    GrowthOpKind.T2655: _FULLERENE_CLASSES,
-    GrowthOpKind.T2656: _F1_CLASSES,
-    GrowthOpKind.T2755: _FULLERENE_CLASSES,
-    GrowthOpKind.T2756: _F1_CLASSES,
-    GrowthOpKind.A1: _FULLERENE_CLASSES,
-    GrowthOpKind.A2: _FULLERENE_CLASSES,
-    GrowthOpKind.A3: _FULLERENE_CLASSES,
-    GrowthOpKind.A4: _FULLERENE_CLASSES,
-    GrowthOpKind.A5: _F1_CLASSES,
-    GrowthOpKind.A6: _FULLERENE_CLASSES,
-    GrowthOpKind.A7: _F1_CLASSES,
-    GrowthOpKind.B1: _FULLERENE_CLASSES,
-    GrowthOpKind.B2: (FamilyClass.F1_IPR,),
-    GrowthOpKind.B3: _FULLERENE_CLASSES,
-    GrowthOpKind.B4: (FamilyClass.F1_IPR,),
+_REGIME_CLASSES = {
+    Regime.SEVEN: {
+        FamilyClass.F, FamilyClass.F_IPR, FamilyClass.F_MINUS1,
+        FamilyClass.F1, FamilyClass.F1_IPR,
+    },
+    Regime.A_OPS: {FamilyClass.F, FamilyClass.F_IPR, FamilyClass.F1, FamilyClass.F1_IPR},
+    Regime.AB_OPS: {FamilyClass.F, FamilyClass.F_IPR, FamilyClass.F1_IPR},
 }
+
+# each regime's operations, in the order successors are generated; which of
+# them apply to a map is read off _SOURCE_CLASSES forward and _TARGET_CLASSES
+# in reduction
+_REGIME_KINDS: dict[Regime, tuple[GrowthOpKind, ...]] = {
+    Regime.SEVEN: (
+        GrowthOpKind.T155, GrowthOpKind.T2655, GrowthOpKind.T145, GrowthOpKind.T2645,
+        GrowthOpKind.T2656, GrowthOpKind.T2755, GrowthOpKind.T2756,
+    ),
+    Regime.A_OPS: (
+        GrowthOpKind.A1, GrowthOpKind.A2, GrowthOpKind.A3, GrowthOpKind.A4,
+        GrowthOpKind.A5, GrowthOpKind.A6, GrowthOpKind.A7,
+    ),
+    Regime.AB_OPS: (
+        GrowthOpKind.A1, GrowthOpKind.A2, GrowthOpKind.A3, GrowthOpKind.A4,
+        GrowthOpKind.B1, GrowthOpKind.B2, GrowthOpKind.B3, GrowthOpKind.B4,
+        GrowthOpKind.A6, GrowthOpKind.A7,
+    ),
+}
+
+
+def _operation_classes():
+    """Each kind's (source, target) classes.  A chain takes its first
+    truncation's source and its last truncation's target classes, kept to
+    the classes of the regimes that use the kind (so B2 and B4 lead to
+    F1-IPR only); the cap insertions keep fullerenes fullerenes."""
+    source = {kind: _FULLERENE_CLASSES for kind, _ in _CAPS.values()}
+    target = dict(source)
+    for kind, chain in KIND_CHAINS.items():
+        admitted = set().union(*(_REGIME_CLASSES[r] for r, ks in _REGIME_KINDS.items() if kind in ks))
+        source[kind] = tuple(c for c in _TRUNCATION_CLASSES[chain[0]][0] if c in admitted)
+        target[kind] = tuple(c for c in _TRUNCATION_CLASSES[chain[-1]][1] if c in admitted)
+    return source, target
+
+
+_SOURCE_CLASSES, _TARGET_CLASSES = _operation_classes()
 
 
 def _canonicalize(m: PlanarMap) -> PlanarMap:
@@ -416,10 +430,10 @@ def _canonical_site(m_raw: PlanarMap, site: TruncationSite) -> tuple[PlanarMap, 
 def apply_growth(m: PlanarMap, kind: GrowthOpKind, site=None) -> PlanarMap:
     """Apply a growth operation and return the canonical result.
 
-    ``site`` is a TruncationSite for the kinds whose chain is one
-    truncation, a sequence of (s, dart) pairs for longer chains (darts refer
-    to the canonical labeling after each sub-step), and is ignored for the
-    cap insertions.
+    ``site`` is a TruncationSite on ``m`` for a kind whose chain is one
+    truncation, or the (s, dart) sub-sites of a step payload for any chain
+    (darts in the canonical labeling of the map each sub-step cuts), and is
+    ignored for the cap insertions.
     """
     cls = classify_shape(m)
     if cls not in _SOURCE_CLASSES[kind]:
@@ -430,23 +444,14 @@ def apply_growth(m: PlanarMap, kind: GrowthOpKind, site=None) -> PlanarMap:
         if fam not in tags:
             raise SiteMismatchError(f"{kind.name} needs the matching nanotube cap")
         return _canonicalize(_CAPS[fam][1](tags[fam] + 1))
-    seq = KIND_CHAINS[kind]
-    if len(seq) == 1:
-        if not isinstance(site, TruncationSite):
-            raise SiteMismatchError(f"{kind.name} needs a truncation site")
-        if not _site_matches(m, site, seq[0]):
-            raise SiteMismatchError(f"site does not match {kind.name}")
-        out = truncate(m, site).map
+    if isinstance(site, TruncationSite):
+        if m.face_of[site.start_dart] != site.face:
+            raise SiteMismatchError("start dart is not on the site face")
+        out = _run_chain(m, ((site.s, site.start_dart),), KIND_CHAINS[kind])
+    elif site is None:
+        raise SiteMismatchError(f"{kind.name} needs a truncation site")
     else:
-        if site is None or len(site) != len(seq):
-            raise SiteMismatchError(f"{kind.name} needs {len(seq)} sub-sites")
-        cur = _canonicalize(m)
-        for (s, dart), sub_kind in zip(site, seq):
-            sub_site = TruncationSite(cur.face_of[dart], dart, s)
-            if not _site_matches(cur, sub_site, sub_kind):
-                raise SiteMismatchError(f"sub-site does not match {sub_kind.name}")
-            cur = _canonicalize(truncate(cur, sub_site).map)
-        out = cur
+        out = _run_chain(_canonicalize(m), site, KIND_CHAINS[kind])
     out_cls = classify_shape(out)
     if out_cls not in _TARGET_CLASSES[kind]:
         raise IllegalTransitionError(f"{kind.name} produced class {out_cls.value}")
@@ -461,21 +466,41 @@ def _site_matches(m: PlanarMap, site: TruncationSite, kind: GrowthOpKind) -> boo
     return (sm1, sm2) == (min(m1, m2), max(m1, m2))
 
 
+def _run_chain(m_canon: PlanarMap, sites, chain: Sequence[GrowthOpKind]) -> PlanarMap:
+    """Cut a chain's (s, dart) sub-sites in turn; returns the raw last map.
+
+    Each dart is in the canonical labeling of the map it cuts: the first in
+    ``m_canon``'s, every later one in the canonical form of the previous
+    result.  SiteMismatchError unless each sub-site has the signature of its
+    truncation in ``chain``.
+    """
+    if len(sites) != len(chain):
+        raise SiteMismatchError(f"the chain needs {len(chain)} sub-sites, not {len(sites)}")
+    out = m_canon
+    for i, ((s, dart), kind) in enumerate(zip(sites, chain)):
+        if i:
+            out = _canonicalize(out)
+        if not 0 <= dart < out.num_darts:
+            raise SiteMismatchError(f"sub-site {i} names no dart of the map")
+        site = TruncationSite(out.face_of[dart], dart, s)
+        if not _site_matches(out, site, kind):
+            raise SiteMismatchError(f"sub-site {i} does not match {kind.name}")
+        out = truncate(out, site).map
+    return out
+
+
 def replay_step(m_canon: PlanarMap, step: GrowthStep) -> PlanarMap:
     """Replay a recorded step on a canonical predecessor; verifies the code.
 
-    The last sub-step's result is checked against the recorded code by a
-    search bounded by that code, which also labels the canonical copy.
+    Every sub-site must match its truncation (``_run_chain``).  The result
+    is checked against the recorded code by a search bounded by that code,
+    which also labels the canonical copy.
     """
     if step.site[0] == "cap":
         fam, k = step.site[1], step.site[2]
         out = _CAPS[fam][1](k + 1)
     else:
-        out = m_canon
-        for i, (s, dart) in enumerate(step.site[1]):
-            if i:
-                out = _canonicalize(out)
-            out = truncate(out, TruncationSite(out.face_of[dart], dart, s)).map
+        out = _run_chain(m_canon, step.site[1], KIND_CHAINS.get(step.kind, ()))
     if not out.has_canonical_code(step.code):
         raise MapError(f"replay of {step.kind.name} did not reproduce the recorded code")
     return _canonicalize(out)
@@ -494,34 +519,6 @@ def replay_trace(trace: DerivationTrace) -> PlanarMap:
 # reduction
 # ----------------------------------------------------------------------
 
-_REGIME_CLASSES = {
-    Regime.SEVEN: {
-        FamilyClass.F, FamilyClass.F_IPR, FamilyClass.F_MINUS1,
-        FamilyClass.F1, FamilyClass.F1_IPR,
-    },
-    Regime.A_OPS: {FamilyClass.F, FamilyClass.F_IPR, FamilyClass.F1, FamilyClass.F1_IPR},
-    Regime.AB_OPS: {FamilyClass.F, FamilyClass.F_IPR, FamilyClass.F1_IPR},
-}
-
-# each regime's operations, in the order successors are generated; which of
-# them apply to a map is read off _SOURCE_CLASSES forward and _TARGET_CLASSES
-# in reduction
-_REGIME_KINDS: dict[Regime, tuple[GrowthOpKind, ...]] = {
-    Regime.SEVEN: (
-        GrowthOpKind.T155, GrowthOpKind.T2655, GrowthOpKind.T145, GrowthOpKind.T2645,
-        GrowthOpKind.T2656, GrowthOpKind.T2755, GrowthOpKind.T2756,
-    ),
-    Regime.A_OPS: (
-        GrowthOpKind.A1, GrowthOpKind.A2, GrowthOpKind.A3, GrowthOpKind.A4,
-        GrowthOpKind.A5, GrowthOpKind.A6, GrowthOpKind.A7,
-    ),
-    Regime.AB_OPS: (
-        GrowthOpKind.A1, GrowthOpKind.A2, GrowthOpKind.A3, GrowthOpKind.A4,
-        GrowthOpKind.B1, GrowthOpKind.B2, GrowthOpKind.B3, GrowthOpKind.B4,
-        GrowthOpKind.A6, GrowthOpKind.A7,
-    ),
-}
-
 # the order reduction tries truncation kinds in.  The seven and a regimes
 # reuse their generation order.  The ab regime tries B1, B3, then A6 for an
 # IPR fullerene, and A7 before B2 and B4 for the heptagon IPR class, where
@@ -539,11 +536,7 @@ _UNDO_KINDS: dict[Regime, tuple[GrowthOpKind, ...]] = {
 
 def _has_pentagon_cornered_edge(m: PlanarMap) -> bool:
     fs = m.face_sizes
-    for d in m.edges:
-        ca, cb = m.edge_corner_faces(d)
-        if fs[ca] == 5 and fs[cb] == 5:
-            return True
-    return False
+    return any(fs[ca] == 5 and fs[cb] == 5 for ca, cb in map(m.edge_corner_faces, m.edges))
 
 
 def _has_hexagon_between_opposite_pentagons(m: PlanarMap) -> bool:
@@ -564,42 +557,21 @@ _UNDO_GUARDS = {
 }
 
 
-def _try_undo(m: PlanarMap, dart: int, expect: Sequence[FamilyClass]):
-    """Straighten one edge; returns (canonical predecessor, canonical site)
-    when the result lands in an expected class, else None."""
-    try:
-        res = straighten(m, EdgeRef(dart))
-    except ThreeBeltObstructionError:
-        return None
-    cls = classify_shape(res.map)
-    if cls not in expect:
-        return None
-    canon, csite = _canonical_site(res.map, res.inverse_site)
-    return canon, csite, cls
-
-
 def _candidate_darts(m: PlanarMap, kind: GrowthOpKind):
-    """Edges that could be the new-face/shrunk-face seam of the given kind,
-    each as the dart whose twin lies on the (s+3)-gon the truncation made,
-    the face ``straighten`` reads the inverse run off."""
+    """Edges that could be the new-face/shrunk-face seam of the given kind."""
     s, k, m1, m2 = KIND_SIGNATURES[kind]
     fs = m.face_sizes
-    new_sz = s + 3
-    shrunk_sz = (k - s + 1) if k is not None else None
     corners = sorted((m1 + 1, m2 + 1))
     out = []
     for d in m.edges:
         a, b = fs[m.face_of[d]], fs[m.face_of[m.twin(d)]]
-        if shrunk_sz is None:
-            if new_sz not in (a, b):
-                continue
-        else:
-            if sorted((a, b)) != sorted((new_sz, shrunk_sz)):
-                continue
+        # the new (s+3)-gon, beside the shrunk (k-s+1)-gon when k is fixed
+        if s + 3 not in (a, b) or (k is not None and a + b != k + 4):
+            continue
         ca, cb = m.edge_corner_faces(d)
         if sorted((fs[ca], fs[cb])) != corners:
             continue
-        out.append(d if b == new_sz else m.twin(d))
+        out.append(d)
     return out
 
 
@@ -619,7 +591,9 @@ def reduce_once(m: PlanarMap, regime: Regime) -> tuple[PlanarMap, GrowthStep]:
 
     The input should be in canonical labeling for reproducible traces.  A
     fullerene with adjacent pentagons outside the seven regime is reduced by
-    its nanotube cap or its P1/P2 patch; every other step by ``_undo_first``.
+    its nanotube cap or its P1/P2 patch, every other map by ``_undo_first``.
+    Every step but a cap peel is undone by ``_sequence_search``, so every
+    recorded sub-site has the signature of its truncation.
     """
     cls = classify_shape(m)
     if cls not in _REGIME_CLASSES[regime]:
@@ -634,8 +608,9 @@ def reduce_once(m: PlanarMap, regime: Regime) -> tuple[PlanarMap, GrowthStep]:
 
 def _undo_first(m: PlanarMap, cls: FamilyClass, code: bytes, regime: Regime):
     """Undo the chain of the first truncation kind, in the regime's undo
-    order, that produces ``cls``; the predecessor must land in the kind's
-    source classes within the regime.
+    order, that produces ``cls``: ``_sequence_search`` over every candidate
+    seam, with the predecessor in the kind's source classes within the
+    regime.
 
     The ab order is (B1, B3, A6, A7, B2, B4).  B1 is tried only when an edge
     has pentagons at both endpoint corners, and B3 only when a hexagon has
@@ -657,87 +632,68 @@ def _undo_first(m: PlanarMap, cls: FamilyClass, code: bytes, regime: Regime):
     raise NoCaseAppliesError("no admissible truncation inverse found", m)
 
 
-def _pentagon_pair_dart(m: PlanarMap, fa: int, fb: int) -> int:
-    for d in m.faces[fa]:
-        if m.face_of[m.twin(d)] == fb:
-            return d
-    raise MapError("faces do not share an edge")
-
-
 def _reduce_adjacent_pentagons(m: PlanarMap, code: bytes):
-    """Cap/patch dispatch for a fullerene with adjacent pentagons."""
+    """Cap/patch dispatch for a fullerene with adjacent pentagons: peel a
+    nanotube layer, or undo A4 at a P1 patch or A3 at a P2 patch, whose
+    chain search starts at the patch's pentagon-pentagon edge."""
     caps = recognize_nanotube(m)
     for fam, k in caps:
         if k == 0:
             continue
         op, builder = _CAPS[fam]
         return _canonicalize(builder(k - 1)), GrowthStep(op, ("cap", fam, k - 1), code)
-    p1 = find_fragments(m, Fragment.P1)
-    if p1:
-        emb = min(p1, key=lambda e: sorted(e.faces))
-        d = _pentagon_pair_dart(m, emb.face(0), emb.face(1))
-        got = _try_undo(m, d, _FULLERENE_CLASSES)
+    for patch, kind in ((Fragment.P1, GrowthOpKind.A4), (Fragment.P2, GrowthOpKind.A3)):
+        embs = find_fragments(m, patch)
+        if not embs:
+            continue
+        emb = min(embs, key=lambda e: sorted(e.faces))
+        first = [d for d in m.faces[emb.face(0)] if m.face_of[m.twin(d)] == emb.face(1)]
+        got = _sequence_search(m, KIND_CHAINS[kind], _SOURCE_CLASSES[kind], first)
         if got is None:
-            raise NoCaseAppliesError("P1 patch did not straighten to a fullerene", m)
-        pred, csite, _ = got
-        return pred, GrowthStep(GrowthOpKind.A4, ("trunc", (csite,)), code)
-    p2 = find_fragments(m, Fragment.P2)
-    if p2:
-        emb = min(p2, key=lambda e: sorted(e.faces))
-        return _reduce_a3(m, emb, code)
+            raise NoCaseAppliesError(f"{patch.name} patch did not straighten to a fullerene", m)
+        pred, sites = got
+        return pred, GrowthStep(kind, ("trunc", sites), code)
     raise NoCaseAppliesError("adjacent pentagons but no cap or patch embeds", m)
 
 
-def _reduce_a3(m: PlanarMap, emb, code: bytes):
-    """Undo the two-truncation composition at a P2 patch."""
-    d = _pentagon_pair_dart(m, emb.face(0), emb.face(1))
-    got = _try_undo(m, d, (FamilyClass.F_MINUS1,))
-    if got is None:
-        raise NoCaseAppliesError("P2 patch did not straighten to the quadrangle class", m)
-    mid, site_b, _ = got
-    # second straightening: a quadrangle edge flanked by two hexagons
-    quad = mid.face_sizes.index(4)
-    for dd in sorted(mid.faces[quad]):
-        ca, cb = mid.edge_corner_faces(dd)
-        if mid.face_sizes[ca] == 6 and mid.face_sizes[cb] == 6:
-            got2 = _try_undo(mid, mid.twin(dd), _FULLERENE_CLASSES)
-            if got2 is not None:
-                pred, site_a, _ = got2
-                return pred, GrowthStep(GrowthOpKind.A3, ("trunc", (site_a, site_b)), code)
-    raise NoCaseAppliesError("quadrangle intermediate did not straighten back", m)
+def _sequence_search(
+    m: PlanarMap,
+    kinds: Sequence[GrowthOpKind],
+    final: Sequence[FamilyClass],
+    first: Optional[Sequence[int]] = None,
+):
+    """Depth-first search for the straightenings that undo a chain.
 
-
-def _sequence_search(m: PlanarMap, kinds: Sequence[GrowthOpKind], final: Sequence[FamilyClass]):
-    """Depth-first search for a straightening sequence undoing ``kinds``.
-
-    ``kinds`` is the forward composition order; straightenings run reversed.
-    Returns (predecessor, substeps in forward order) or None.
+    ``kinds`` is the chain in forward order, so its last truncation is undone
+    first: at the darts ``first`` when given, else at every candidate seam of
+    ``_candidate_darts``.  Each edge is straightened from the (s+3)-gon its
+    truncation made, so the inverse sub-site has the truncation's signature;
+    it is recorded in the canonical labeling of the map it cuts.  Only the
+    predecessor's class is checked, against ``final``.  Returns (canonical
+    predecessor, sub-sites in forward order) or None.
     """
 
-    def rec(cur: PlanarMap, remaining: list[GrowthOpKind], acc: list):
-        kind = remaining[-1]
-        rest = remaining[:-1]
-        expect = final if not rest else (
-            FamilyClass.F_MINUS1, FamilyClass.F1, FamilyClass.F1_IPR,
-            FamilyClass.F, FamilyClass.F_IPR, FamilyClass.OTHER,
-        )
-        for d in _candidate_darts(cur, kind):
-            got = _try_undo(cur, d, expect)
-            if got is None:
+    def rec(cur: PlanarMap, depth: int, acc: tuple, darts):
+        kind = kinds[depth]
+        new_size = KIND_SIGNATURES[kind][0] + 3
+        for d in _candidate_darts(cur, kind) if darts is None else darts:
+            if cur.face_sizes[cur.face_of[cur.twin(d)]] != new_size:
+                d = cur.twin(d)
+            try:
+                res = straighten(cur, EdgeRef(d))
+            except ThreeBeltObstructionError:
                 continue
-            nxt, csite, _ = got
-            if not rest:
-                return nxt, [csite] + acc
-            deeper = rec(nxt, rest, [csite] + acc)
-            if deeper is not None:
-                return deeper
+            if depth == 0 and classify_shape(res.map) not in final:
+                continue
+            nxt, csite = _canonical_site(res.map, res.inverse_site)
+            if depth == 0:
+                return nxt, (csite,) + acc
+            got = rec(nxt, depth - 1, (csite,) + acc, None)
+            if got is not None:
+                return got
         return None
 
-    got = rec(m, list(kinds), [])
-    if got is None:
-        return None
-    pred, sites = got
-    return pred, tuple(sites)
+    return rec(m, len(kinds) - 1, (), first)
 
 
 # ----------------------------------------------------------------------

@@ -26,15 +26,17 @@ from fforge.engine import EnumerationJob, enumerate_closure
 from fforge.growth import (
     KIND_CHAINS,
     AtDodecahedronError,
+    GrowthStep,
     IllegalTransitionError,
     SiteMismatchError,
+    _canonical_site,
     _canonicalize,
     _site_matches,
     replay_step,
 )
 from fforge.planar_map import MapError, PlanarMap
 from fforge.structure import FamilyClass, NotAFullereneError
-from fforge.transform import TruncationSite
+from fforge.transform import EdgeRef, TruncationSite, straighten
 
 import helpers
 
@@ -394,6 +396,23 @@ class TestReplayStep:
             "a walk of the same map above its code": above,
         }
 
+    def test_edge_cut_from_the_other_face_is_rejected(self, dodeca):
+        """Straightening a T155 image's new edge from the pentagon beside it
+        also gives back the dodecahedron, with an s = 2 site that truncates to
+        the same image; it is no T155 site, so replay rejects it."""
+        cut = truncate(dodeca, enumerate_sites(dodeca, s=1, m1=5, m2=5)[0])
+        code = cut.map.canonical_code()
+        for dart, s in ((cut.new_edge.dart, 1), (cut.map.twin(cut.new_edge.dart), 2)):
+            back = straighten(cut.map, EdgeRef(dart))
+            pred, csite = _canonical_site(back.map, back.inverse_site)
+            assert csite[0] == s
+            step = GrowthStep(GrowthOpKind.T155, ("trunc", (csite,)), code)
+            if s == 1:
+                assert replay_step(pred, step).canonical_code() == code
+            else:
+                with pytest.raises(SiteMismatchError, match="does not match T155"):
+                    replay_step(pred, step)
+
     @pytest.mark.parametrize("which", [
         "another map's code", "a code below the true one", "the 2-byte form",
         "a walk of the same map above its code",
@@ -494,6 +513,22 @@ def test_closure_steps_are_pinned(regime, gen_seven, gen_a, gen_ab):
         for code, e in sorted(gen.entries.items())
     )
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CLOSURE_STEPS[regime]
+
+
+# sha256 of every kind's source and target class rows, in GrowthOpKind order
+PINNED_OPERATION_CLASSES = "b49b3485d4079c03a6db6ed5906930ffe73b7ec20f4af660428f89fe7447c278"
+
+
+def test_operation_classes_are_pinned():
+    """The classes derived from the seven truncations' rows equal the table
+    that listed every kind by hand, row for row and in the same order."""
+    from fforge.growth import _SOURCE_CLASSES, _TARGET_CLASSES
+
+    def rows(table):
+        return [[k.name, [c.value for c in table[k]]] for k in GrowthOpKind if k in table]
+
+    text = json.dumps({"source": rows(_SOURCE_CLASSES), "target": rows(_TARGET_CLASSES)})
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OPERATION_CLASSES
 
 
 class TestTraceSerialization:
