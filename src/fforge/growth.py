@@ -625,7 +625,7 @@ def _undo_first(m: PlanarMap, cls: FamilyClass, code: bytes, regime: Regime):
         if guard is not None and not guard(m):
             continue
         final = [c for c in _SOURCE_CLASSES[kind] if c in _REGIME_CLASSES[regime]]
-        got = _sequence_search(m, KIND_CHAINS[kind], final)
+        got = _sequence_search(m, KIND_CHAINS[kind], final, None)
         if got is not None:
             pred, sites = got
             return pred, GrowthStep(kind, ("trunc", sites), code)
@@ -660,17 +660,18 @@ def _sequence_search(
     m: PlanarMap,
     kinds: Sequence[GrowthOpKind],
     final: Sequence[FamilyClass],
-    first: Optional[Sequence[int]] = None,
+    first: Optional[Sequence[int]],
 ):
     """Depth-first search for the straightenings that undo a chain.
 
     ``kinds`` is the chain in forward order, so its last truncation is undone
-    first: at the darts ``first`` when given, else at every candidate seam of
-    ``_candidate_darts``.  Each edge is straightened from the (s+3)-gon its
-    truncation made, so the inverse sub-site has the truncation's signature;
-    it is recorded in the canonical labeling of the map it cuts.  Only the
-    predecessor's class is checked, against ``final``.  Returns (canonical
-    predecessor, sub-sites in forward order) or None.
+    first: at the darts ``first``, or at every candidate seam of
+    ``_candidate_darts`` when ``first`` is None.  Each edge is straightened
+    from the (s+3)-gon its truncation made, so the inverse sub-site has the
+    truncation's signature; it is recorded in the canonical labeling of the
+    map it cuts.  Only the predecessor's class is checked, against
+    ``final``.  Returns (canonical predecessor, sub-sites in forward order)
+    or None.
     """
 
     def rec(cur: PlanarMap, depth: int, acc: tuple, darts):

@@ -239,10 +239,10 @@ class TestReduce:
         search = growth._sequence_search
         guarded = [growth.KIND_CHAINS[GrowthOpKind.B1], growth.KIND_CHAINS[GrowthOpKind.B3]]
 
-        def spy(m, kinds, final):
+        def spy(m, kinds, final, first):
             assert tuple(kinds) not in guarded, "a guarded chain search started"
             searched.append(tuple(kinds))
-            return search(m, kinds, final)
+            return search(m, kinds, final, first)
 
         monkeypatch.setattr(growth, "_sequence_search", spy)
         _, step = reduce_once(_canonicalize(helpers.leapfrog(c60)), Regime.AB_OPS)
@@ -306,7 +306,7 @@ class TestSequenceSearch:
             for op in sorted(pending, key=lambda k: k.name):
                 for _, _, raw in _chain_successors(m, op):
                     image = _canonicalize(raw)
-                    got = _sequence_search(image, KIND_CHAINS[op], _SOURCE_CLASSES[op])
+                    got = _sequence_search(image, KIND_CHAINS[op], _SOURCE_CLASSES[op], None)
                     assert got is not None
                     pred, sites = got
                     assert pred.num_faces == image.num_faces - len(KIND_CHAINS[op])
