@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -24,6 +25,7 @@ from .planar_map import (
     encode_planar_code,
     map_from_faces,
     p_vector,
+    planar_code_records,
     read_planar_code,
     write_planar_code,
 )
@@ -304,13 +306,9 @@ def cross_check(a: GeneratedSet, b: GeneratedSet) -> CrossCheckReport:
 # ----------------------------------------------------------------------
 
 
-def _regime_of(tag: str) -> Regime:
-    return {"seven": Regime.SEVEN, "a": Regime.A_OPS, "ab": Regime.AB_OPS}[tag]
-
-
 def _cmd_gen(args) -> int:
     job = EnumerationJob(
-        _regime_of(args.regime),
+        Regime(args.regime),
         args.max_hexagons,
         collect_traces=args.traces is not None,
         include_reflection=not args.no_reflection,
@@ -320,9 +318,18 @@ def _cmd_gen(args) -> int:
         print("error: enumeration was interrupted; no output written", file=sys.stderr)
         return 1
     maps = gen.sorted_fullerenes()
-    write_planar_code(args.out, maps)
-    if args.traces:
-        with open(args.traces, "w", encoding="utf-8") as fh:
+    # open --traces before --out is written, and take it back if --out cannot
+    # be written, so a run that cannot write both leaves neither
+    fh = open(args.traces, "w", encoding="utf-8") if args.traces else None
+    try:
+        write_planar_code(args.out, maps)
+    except BaseException:
+        if fh is not None:
+            fh.close()
+            os.remove(args.traces)
+        raise
+    if fh is not None:
+        with fh:
             for code in sorted(c for c, e in gen.entries.items() if e.cls.is_fullerene):
                 fh.write(gen.trace_of(code, job.regime).to_jsonl())
                 fh.write("\n")
@@ -370,14 +377,28 @@ def _cmd_diff(args) -> int:
     return 0 if report.clean else 1
 
 
+def _read_records(path) -> list[PlanarMap | MapError]:
+    """A planar_code file's records, each a map or the MapError that
+    validating it raised; see ``planar_code_records``."""
+    with open(path, "rb") as fh:
+        return planar_code_records(fh.read())
+
+
+def _checked(record: PlanarMap | MapError) -> PlanarMap:
+    """The map of a record; raises the record's MapError if it has one."""
+    if isinstance(record, MapError):
+        raise record
+    return record
+
+
 def _cmd_reduce(args) -> int:
-    maps = read_planar_code(args.infile)
-    regime = _regime_of(args.regime)
+    records = _read_records(args.infile)
+    regime = Regime(args.regime)
     status = 0
     with open(args.traces, "w", encoding="utf-8") as fh:
-        for i, m in enumerate(maps):
+        for i, m in enumerate(records):
             try:
-                trace = reduce_to_dodecahedron(m, regime)
+                trace = reduce_to_dodecahedron(_checked(m), regime)
             except MapError as exc:
                 print(f"map {i}: reduction failed: {exc}", file=sys.stderr)
                 status = 1
@@ -389,10 +410,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    maps = read_planar_code(args.infile)
     status = 0
-    for i, m in enumerate(maps):
+    for i, m in enumerate(_read_records(args.infile)):
         try:
+            m = _checked(m)
             pv = p_vector(m)
             poly = check_polytopal(m)
             cls = classify_shape(m).value if poly else "n/a"
@@ -431,11 +452,12 @@ def _cmd_nanotube(args) -> int:
 
 def _per_record(path, report) -> int:
     """Print ``{"index": i, **report(map)}`` per record, or ``{"index": i,
-    "error": ...}`` when it raises a MapError; exit 1 if any record failed."""
+    "error": ...}`` for a record that is not a valid map or whose report
+    raises a MapError; exit 1 if any record failed."""
     status = 0
-    for i, m in enumerate(read_planar_code(path)):
+    for i, m in enumerate(_read_records(path)):
         try:
-            rec = {"index": i, **report(m)}
+            rec = {"index": i, **report(_checked(m))}
         except MapError as exc:
             rec = {"index": i, "error": str(exc)}
             status = 1
@@ -446,9 +468,10 @@ def _per_record(path, report) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fforge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    regimes = [regime.value for regime in Regime]
 
     g = sub.add_parser("gen", help="enumerate the closure of the dodecahedron")
-    g.add_argument("--regime", choices=["seven", "a", "ab"], required=True)
+    g.add_argument("--regime", choices=regimes, required=True)
     g.add_argument("--max-hexagons", type=int, required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--traces")
@@ -468,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reduce", help="reduce maps to the dodecahedron, writing traces")
     r.add_argument("infile")
-    r.add_argument("--regime", choices=["seven", "a", "ab"], required=True)
+    r.add_argument("--regime", choices=regimes, required=True)
     r.add_argument("--traces", required=True)
     r.set_defaults(func=_cmd_reduce)
 

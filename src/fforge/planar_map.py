@@ -652,11 +652,13 @@ def encode_planar_code(maps: Iterable[PlanarMap], with_header: bool = True) -> b
     return bytes(out)
 
 
-def decode_planar_code(data: bytes) -> list[PlanarMap]:
-    """Parse a planar_code byte stream into validated maps.
+def planar_code_records(data: bytes) -> list[PlanarMap | MapError]:
+    """Each record of a planar_code byte stream: its validated map, or the
+    ``MapError`` that validating it raised.
 
-    A malformed record raises its ``MapError`` subclass with the message
-    prefixed by ``record {i}: ``, where ``i`` counts records from 0.
+    A bad header, a 2-byte record or a record cut short raises its
+    ``MapError`` subclass with the message prefixed by ``record {i}: ``
+    (counting records from 0), since no later record can be found.
     """
     buf = io.BytesIO(data)
     head = buf.read(len(PLANAR_CODE_HEADER))
@@ -664,20 +666,37 @@ def decode_planar_code(data: bytes) -> list[PlanarMap]:
         buf.seek(0)
         if head[:2] == b">>":
             raise MalformedHeaderError("unrecognized planar_code header")
-    maps = []
+    records = []
     while True:
         nb = buf.read(1)
         if not nb:
-            break
+            return records
         try:
-            maps.append(_decode_record(buf, nb[0]))
+            rot = _read_rotation(buf, nb[0])
         except MapError as exc:
-            raise type(exc)(f"record {len(maps)}: {exc}") from exc
+            raise type(exc)(f"record {len(records)}: {exc}") from exc
+        try:
+            records.append(PlanarMap.from_rotation(rot))
+        except MapError as exc:
+            records.append(exc)
+
+
+def decode_planar_code(data: bytes) -> list[PlanarMap]:
+    """Parse a planar_code byte stream into validated maps.
+
+    A malformed record raises its ``MapError`` subclass with the message
+    prefixed by ``record {i}: ``, where ``i`` counts records from 0.
+    """
+    maps = planar_code_records(data)
+    for i, m in enumerate(maps):
+        if isinstance(m, MapError):
+            raise type(m)(f"record {i}: {m}") from m
     return maps
 
 
-def _decode_record(buf: io.BytesIO, n: int) -> PlanarMap:
-    """The map of one record whose vertex count byte ``n`` was just read."""
+def _read_rotation(buf: io.BytesIO, n: int) -> list[list[int]]:
+    """The neighbor lists of one record whose vertex count byte ``n`` was
+    just read."""
     if n == 0:
         raise VertexOverflowError("2-byte planar_code records are not supported")
     rot: list[list[int]] = []
@@ -691,7 +710,7 @@ def _decode_record(buf: io.BytesIO, n: int) -> PlanarMap:
                 break
             row.append(c[0] - 1)
         rot.append(row)
-    return PlanarMap.from_rotation(rot)
+    return rot
 
 
 def write_planar_code(path, maps: Iterable[PlanarMap]) -> None:

@@ -67,9 +67,6 @@ class EdgeRef:
 
     dart: int
 
-    def faces(self, m: PlanarMap) -> tuple[int, int]:
-        return (m.face_of[self.dart], m.face_of[m.twin(self.dart)])
-
 
 @dataclass(frozen=True)
 class TruncationResult:

@@ -323,6 +323,41 @@ class TestCli:
         assert str(missing) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", ["traces", "out"])
+    def test_gen_writes_nothing_when_an_output_cannot_be_opened(self, tmp_path, capsys, bad):
+        missing = tmp_path / "no" / "such" / "x"
+        out = missing if bad == "out" else tmp_path / "ok.plc"
+        traces = missing if bad == "traces" else tmp_path / "t.jsonl"
+        assert main(["gen", "--regime", "seven", "--max-hexagons", "1",
+                     "--out", str(out), "--traces", str(traces)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not traces.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "classify", "belts", "nanotube", "reduce"])
+    def test_a_record_that_is_no_map_is_reported_per_record(self, tmp_path, capsys, command):
+        """The middle record decodes but embeds K4 on the torus; the records
+        before and after it are still reported."""
+        from fforge import build_D5k, encode_planar_code
+
+        torus_k4 = bytes([4, 2, 3, 4, 0, 1, 3, 4, 0, 1, 2, 4, 0, 1, 3, 2, 0])
+        src = tmp_path / "mixed.plc"
+        src.write_bytes(encode_planar_code([build_dodecahedron()]) + torus_k4
+                        + encode_planar_code([build_D5k(1)], with_header=False))
+        traces = tmp_path / "t.jsonl"
+        argv = [command, str(src)] + (["--regime", "a", "--traces", str(traces)]
+                                      if command == "reduce" else [])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        if command == "reduce":
+            assert [ln.split(":")[0] for ln in out.splitlines()] == ["map 0", "map 2"]
+            assert err.startswith("map 1: reduction failed: ") and "V-E+F = 0" in err
+            assert len(traces.read_text().split("\n\n")) == 3
+        else:
+            lines = [json.loads(ln) for ln in out.splitlines()]
+            assert [rec["index"] for rec in lines] == [0, 1, 2]
+            assert "error" not in lines[0] and "error" not in lines[2]
+            assert lines[1]["error"] == "V-E+F = 0, expected 2"
+
     def test_python_dash_m_runs_the_cli(self):
         import os
         import subprocess
