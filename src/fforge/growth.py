@@ -411,18 +411,14 @@ def _canonical_site(m_raw: PlanarMap, site: TruncationSite) -> tuple[PlanarMap, 
 
     When the canonical form reflects the map, the run anchor is replaced by
     its mirror (the walk dart entering the run from the other side), so the
-    relabeled site cuts the same vertex run.
+    relabeled site cuts the same vertex run.  That is the twin of the run's
+    last edge, or for s = 0 of the face edge entering the corner.
     """
     canon, dmap, reflected = m_raw.canonical_form()
     if not reflected:
         return canon, (site.s, dmap[site.start_dart])
-    if site.s == 0:
-        d_in = site.start_dart
-        for _ in range(m_raw.face_sizes[site.face] - 1):
-            d_in = m_raw.face_next(d_in)
-        return canon, (0, dmap[m_raw.twin(d_in)])
     t_last = site.start_dart
-    for _ in range(site.s - 1):
+    for _ in range((site.s - 1) % m_raw.face_sizes[site.face]):
         t_last = m_raw.face_next(t_last)
     return canon, (site.s, dmap[m_raw.twin(t_last)])
 
@@ -536,7 +532,11 @@ _UNDO_KINDS: dict[Regime, tuple[GrowthOpKind, ...]] = {
 
 def _has_pentagon_cornered_edge(m: PlanarMap) -> bool:
     fs = m.face_sizes
-    return any(fs[ca] == 5 and fs[cb] == 5 for ca, cb in map(m.edge_corner_faces, m.edges))
+    for d in m.edges:
+        ca, cb = m.edge_corner_faces(d)
+        if fs[ca] == 5 and fs[cb] == 5:
+            return True
+    return False
 
 
 def _has_hexagon_between_opposite_pentagons(m: PlanarMap) -> bool:
