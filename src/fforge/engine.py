@@ -26,7 +26,6 @@ from .planar_map import (
     map_from_faces,
     p_vector,
     planar_code_records,
-    read_planar_code,
     write_planar_code,
 )
 from .structure import FamilyClass, classify, classify_shape, find_belts, five_belt_census
@@ -166,73 +165,86 @@ def enumerate_closure(job: EnumerationJob) -> GeneratedSet:
 # ----------------------------------------------------------------------
 
 
-def _windup(sizes: Sequence[int]) -> Optional[PlanarMap]:
+def _windup(sizes: Sequence[int], prefix: Optional[list] = None) -> Optional[PlanarMap]:
     """Wind a face-size spiral into a sphere map, or None if it jams.
 
     Faces are attached in order, each glued over the run of saturated
     boundary corners at the active position; the last face must close the
     remaining boundary exactly.
+
+    ``prefix`` caches the windup of earlier calls: entry k holds face k's
+    size and the state after face k, or None if the spiral jammed there.  A
+    call resumes after the longest run of non-last faces it shares with the
+    cache, so a jammed prefix rejects every spiral that extends it at once.
     """
+    prefix = [] if prefix is None else prefix
     nface = len(sizes)
-    s0 = sizes[0]
-    faces: list[tuple[int, ...]] = [tuple(range(s0))]
-    boundary = list(range(s0))
-    deg = [2] * s0
-    adj: list[set[int]] = [
-        {(v - 1) % s0, (v + 1) % s0} for v in range(s0)
-    ]
-    nv = s0
-    for idx in range(1, nface):
-        s = sizes[idx]
-        ln = len(boundary)
-        if idx == nface - 1:
-            if ln != s or any(deg[v] != 3 for v in boundary):
-                return None
-            faces.append(tuple(reversed(boundary)))
-            continue
-        if ln < 2:
+    k, shared = 0, min(len(prefix), nface - 1)
+    while k < shared and prefix[k][0] == sizes[k]:
+        k += 1
+    del prefix[k:]
+    if not k:
+        s0 = sizes[0]
+        ring = tuple(range(s0))
+        edges = frozenset((v, (v + d) % s0) for v in ring for d in (1, -1))
+        prefix.append((s0, ((ring,), ring, (2,) * s0, edges, s0)))
+        k = 1
+    state = prefix[-1][1]
+    for idx in range(k, nface - 1):
+        if state is None:
             return None
-        p_start, p_end = 0, 1
-        guard = 0
-        while deg[boundary[p_start % ln]] == 3:
-            p_start -= 1
-            guard += 1
-            if guard > ln:
-                return None
-        while deg[boundary[p_end % ln]] == 3:
-            p_end += 1
-            guard += 1
-            if guard > ln:
-                return None
-        g = p_end - p_start
-        if g > ln - 1:
-            return None
-        newv = s - g - 1
-        if newv < 0:
-            return None
-        path = [boundary[i % ln] for i in range(p_start, p_end + 1)]
-        x0, xg = path[0], path[-1]
-        if newv == 0 and xg in adj[x0]:
-            return None
-        new_ids = list(range(nv, nv + newv))
-        nv += newv
-        faces.append(tuple(reversed(path)) + tuple(new_ids))
-        deg.extend([2] * newv)
-        deg[x0] += 1
-        deg[xg] += 1
-        for v in new_ids:
-            adj.append(set())
-        arc = [x0] + new_ids + [xg]
-        for a, b in zip(arc, arc[1:]):
-            adj[a].add(b)
-            adj[b].add(a)
-        keep = [boundary[i % ln] for i in range(p_end, p_start + ln + 1)]
-        boundary = keep + new_ids
+        state = _attach(state, sizes[idx])
+        prefix.append((sizes[idx], state))
+    if state is None:
+        return None
+    faces, boundary, deg, _, _ = state
+    if len(boundary) != sizes[-1] or any(deg[v] != 3 for v in boundary):
+        return None
     try:
-        m = map_from_faces(faces)
+        return map_from_faces(faces + (tuple(reversed(boundary)),))
     except MapError:
         return None
-    return m
+
+
+def _attach(state: tuple, s: int) -> Optional[tuple]:
+    """The windup state after gluing a non-last face of size ``s``, or None
+    if the spiral jams there.  A state is (faces, boundary, deg, directed
+    edges, vertex count), all immutable so that ``_windup`` can cache it."""
+    faces, boundary, deg, edges, nv = state
+    ln = len(boundary)
+    if ln < 2:
+        return None
+    p_start, p_end = 0, 1
+    guard = 0
+    while deg[boundary[p_start % ln]] == 3:
+        p_start -= 1
+        guard += 1
+        if guard > ln:
+            return None
+    while deg[boundary[p_end % ln]] == 3:
+        p_end += 1
+        guard += 1
+        if guard > ln:
+            return None
+    g = p_end - p_start
+    if g > ln - 1:
+        return None
+    newv = s - g - 1
+    if newv < 0:
+        return None
+    ring = boundary * 3  # boundary[i % ln] is ring[i + ln] for -ln <= i < 2 * ln
+    path = ring[p_start + ln:p_end + ln + 1]
+    x0, xg = path[0], path[-1]
+    if newv == 0 and (x0, xg) in edges:
+        return None
+    new_ids = tuple(range(nv, nv + newv))
+    deg = list(deg) + [2] * newv
+    deg[x0] += 1
+    deg[xg] += 1
+    arc = (x0,) + new_ids + (xg,)
+    edges = edges.union(zip(arc, arc[1:]), zip(arc[1:], arc))
+    keep = ring[p_end + ln:p_start + 2 * ln + 1]
+    return faces + (tuple(reversed(path)) + new_ids,), keep + new_ids, tuple(deg), edges, nv + newv
 
 
 def oracle_generate(max_p6: int, include_reflection: bool = True) -> GeneratedSet:
@@ -248,11 +260,12 @@ def oracle_generate(max_p6: int, include_reflection: bool = True) -> GeneratedSe
     out = GeneratedSet(max_p6)
     for p6 in range(max_p6 + 1):
         nface = 12 + p6
+        prefix: list = []
         for pent_positions in itertools.combinations(range(nface), 12):
             sizes = [6] * nface
             for i in pent_positions:
                 sizes[i] = 5
-            m = _windup(sizes)
+            m = _windup(sizes, prefix)
             if m is None:
                 continue
             pv = p_vector(m)
@@ -348,10 +361,14 @@ def _cmd_oracle(args) -> int:
 
 def _load_set(path, include_reflection=True) -> tuple[GeneratedSet, int]:
     """The fullerenes of a planar_code file and how many records were not
-    fullerenes."""
+    fullerenes; a record that is no valid map is also reported on stderr."""
     out = GeneratedSet(0)
     others = 0
-    for m in read_planar_code(path):
+    for i, m in enumerate(_read_records(path)):
+        if isinstance(m, MapError):
+            print(f"{path}: record {i}: {m}", file=sys.stderr)
+            others += 1
+            continue
         pv = p_vector(m)
         if not pv.is_fullerene():
             others += 1
@@ -363,17 +380,21 @@ def _load_set(path, include_reflection=True) -> tuple[GeneratedSet, int]:
 
 
 def _cmd_diff(args) -> int:
-    sets = []
-    for path in (args.a, args.b):
-        gen, others = _load_set(path)
+    sets = {}
+    for path in dict.fromkeys((args.a, args.b)):  # a file named twice is read once
+        sets[path], others = _load_set(path)
         if others:
             print(f"{path}: ignored {others} records that are not fullerenes", file=sys.stderr)
-        sets.append(gen)
-    a, b = sets
+    a, b = sets[args.a], sets[args.b]
     bound = max(a.max_p6, b.max_p6)
     a.max_p6 = b.max_p6 = bound
     report = cross_check(a, b)
     print(report.summary())
+    for side, gen, only in (("A", a, report.only_a), ("B", b, report.only_b)):
+        for p6, codes in sorted(only.items()):
+            for code in codes:
+                dump = encode_planar_code([gen.entries[code].map], with_header=False).hex()
+                print(f"only in {side} p6={p6}: {dump}", file=sys.stderr)
     return 0 if report.clean else 1
 
 

@@ -18,6 +18,11 @@ def oracle5():
 
 
 @pytest.fixture(scope="session")
+def oracle10():
+    return oracle_generate(10)
+
+
+@pytest.fixture(scope="session")
 def gen_seven():
     return enumerate_closure(EnumerationJob(Regime.SEVEN, 5, collect_traces=True))
 

@@ -42,6 +42,10 @@ FIXTURE_PLC = (
     b"\x00\x16\x11\x18\x00\x17\x12\x13\x00"
 )
 
+# a planar_code record that decodes but embeds K4 on the torus, so it is no
+# valid sphere map
+TORUS_K4 = bytes([4, 2, 3, 4, 0, 1, 3, 4, 0, 1, 2, 4, 0, 1, 3, 2, 0])
+
 
 class TestOracle:
     def test_frozen_counts(self, oracle5):
@@ -92,6 +96,49 @@ class TestOracle:
                 produced += 1
         assert produced
 
+    def test_windup_resumed_from_shared_prefix_equals_fresh_windup(self):
+        """Through one prefix cache, every pentagon placement at p6 <= 5 and
+        then seeded random spirals winds to the map a fresh windup gives,
+        dart for dart, or to None exactly when the fresh windup jams."""
+        import itertools
+        import random
+
+        prefix = []
+        seen = {"closed": 0, "shorter": 0, "closed_after_jam": 0}
+
+        def check(sizes):
+            jam_cached = any(state is None for _, state in prefix)
+            shorter = len(sizes) < len(prefix)
+            fresh, resumed = _windup(sizes), _windup(sizes, prefix)
+            assert (resumed is None) == (fresh is None), sizes
+            if fresh is not None:
+                assert resumed._twin == fresh._twin, sizes
+                seen["closed"] += 1
+                seen["closed_after_jam"] += jam_cached
+            seen["shorter"] += shorter
+
+        for p6 in range(6):
+            for pent_positions in itertools.combinations(range(12 + p6), 12):
+                check([5 if i in pent_positions else 6 for i in range(12 + p6)])
+        assert seen["closed"] == 161
+        # random spirals of 4-20 faces with sizes 3-8 and the face-size sum
+        # of a cubic sphere map, half of them the one before with its tail
+        # shuffled, so that they share a prefix with what the cache holds
+        rng = random.Random(11)
+        seen = dict.fromkeys(seen, 0)
+        sizes = [5] * 12
+        for _ in range(3000):
+            if rng.random() < 0.5:
+                sizes = [rng.choice((4, 5, 5, 6, 6, 7)) for _ in range(rng.randint(4, 20))]
+                while (excess := sum(6 - s for s in sizes) - 12) != 0:
+                    i = rng.randrange(len(sizes))
+                    sizes[i] = min(8, max(3, sizes[i] + (1 if excess > 0 else -1)))
+            else:
+                cut = rng.randrange(len(sizes))
+                sizes = sizes[:cut] + rng.sample(sizes[cut:], len(sizes) - cut)
+            check(sizes)
+        assert seen["closed"] > 100 and seen["shorter"] and seen["closed_after_jam"], seen
+
 
 class TestEnumerate:
     def test_base_case(self):
@@ -141,12 +188,21 @@ class TestEnumerate:
         for code, e in smaller.entries.items():
             assert (e.parent, e.step) == (restricted[code].parent, restricted[code].step)
 
-    @pytest.mark.parametrize("max_p6", [8, pytest.param(10, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("max_p6", [8])  # p6 = 10: test_oracle_referees_every_regime_at_p6_10
     @pytest.mark.parametrize("regime", list(Regime))
     def test_counts_match_a007894(self, regime, max_p6):
         gen = enumerate_closure(EnumerationJob(regime, max_p6))
         assert gen.complete
         assert gen.fullerene_counts() == list(A007894[: max_p6 + 1])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_oracle_referees_every_regime_at_p6_10(self, oracle10, regime):
+        assert oracle10.fullerene_counts() == list(A007894[:11])
+        gen = enumerate_closure(EnumerationJob(regime, 10))
+        assert gen.complete
+        report = cross_check(gen, oracle10)
+        assert report.clean, report.summary()
 
     def test_reflection_flag_splits_chiral_classes(self, oracle5):
         chiral = oracle_generate(5, include_reflection=False)
@@ -310,6 +366,33 @@ class TestCli:
         assert out == "fullerene buckets agree\n"
         assert err.splitlines() == [f"{a}: ignored 2 records that are not fullerenes"]
 
+    def test_diff_reports_an_invalid_record_and_goes_on(self, tmp_path, capsys):
+        src = tmp_path / "mixed.plc"
+        src.write_bytes(encode_planar_code([build_dodecahedron()]) + TORUS_K4)
+        assert main(["diff", str(src), str(src)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "fullerene buckets agree\n"
+        # the file is named twice but read, and its bad record named, once
+        assert err.splitlines() == [f"{src}: record 1: V-E+F = 0, expected 2",
+                                    f"{src}: ignored 1 records that are not fullerenes"]
+
+    def test_diff_dumps_the_maps_found_in_one_file_only(self, tmp_path, capsys):
+        gen_path, oracle_path = tmp_path / "gen.plc", tmp_path / "oracle.plc"
+        main(["gen", "--regime", "seven", "--max-hexagons", "4", "--out", str(gen_path)])
+        main(["oracle", "--max-hexagons", "2", "--out", str(oracle_path)])
+        capsys.readouterr()
+        expected = oracle_generate(4).fullerene_codes()
+        for argv, side in (([gen_path, oracle_path], "A"), ([oracle_path, gen_path], "B")):
+            assert main(["diff", *map(str, argv)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "p6=3: 1 only in " + side + "; p6=4: 2 only in " + side + "\n"
+            dumped = {}
+            for line in err.splitlines():
+                head, dump = line.split(": ")
+                (m,) = decode_planar_code(bytes.fromhex(dump))
+                dumped.setdefault(head, []).append(m.canonical_code())
+            assert dumped == {f"only in {side} p6={p6}": expected[p6] for p6 in (3, 4)}
+
     @pytest.mark.parametrize("command", ["validate", "gen"])
     def test_file_errors_are_reported_without_a_traceback(self, tmp_path, capsys, command):
         missing = tmp_path / "no" / "such" / "x.plc"
@@ -337,11 +420,10 @@ class TestCli:
     def test_a_record_that_is_no_map_is_reported_per_record(self, tmp_path, capsys, command):
         """The middle record decodes but embeds K4 on the torus; the records
         before and after it are still reported."""
-        from fforge import build_D5k, encode_planar_code
+        from fforge import build_D5k
 
-        torus_k4 = bytes([4, 2, 3, 4, 0, 1, 3, 4, 0, 1, 2, 4, 0, 1, 3, 2, 0])
         src = tmp_path / "mixed.plc"
-        src.write_bytes(encode_planar_code([build_dodecahedron()]) + torus_k4
+        src.write_bytes(encode_planar_code([build_dodecahedron()]) + TORUS_K4
                         + encode_planar_code([build_D5k(1)], with_header=False))
         traces = tmp_path / "t.jsonl"
         argv = [command, str(src)] + (["--regime", "a", "--traces", str(traces)]
