@@ -380,12 +380,13 @@ def _load_set(path, include_reflection=True) -> tuple[GeneratedSet, int]:
 
 
 def _cmd_diff(args) -> int:
-    sets = {}
-    for path in dict.fromkeys((args.a, args.b)):  # a file named twice is read once
-        sets[path], others = _load_set(path)
+    sets = []
+    for path in (args.a, args.b):
+        gen, others = _load_set(path)
         if others:
             print(f"{path}: ignored {others} records that are not fullerenes", file=sys.stderr)
-    a, b = sets[args.a], sets[args.b]
+        sets.append(gen)
+    a, b = sets
     bound = max(a.max_p6, b.max_p6)
     a.max_p6 = b.max_p6 = bound
     report = cross_check(a, b)

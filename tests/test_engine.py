@@ -188,7 +188,7 @@ class TestEnumerate:
         for code, e in smaller.entries.items():
             assert (e.parent, e.step) == (restricted[code].parent, restricted[code].step)
 
-    @pytest.mark.parametrize("max_p6", [8])  # p6 = 10: test_oracle_referees_every_regime_at_p6_10
+    @pytest.mark.parametrize("max_p6", [8, pytest.param(10, marks=pytest.mark.slow)])
     @pytest.mark.parametrize("regime", list(Regime))
     def test_counts_match_a007894(self, regime, max_p6):
         gen = enumerate_closure(EnumerationJob(regime, max_p6))
@@ -367,12 +367,12 @@ class TestCli:
         assert err.splitlines() == [f"{a}: ignored 2 records that are not fullerenes"]
 
     def test_diff_reports_an_invalid_record_and_goes_on(self, tmp_path, capsys):
-        src = tmp_path / "mixed.plc"
+        src, ref = tmp_path / "mixed.plc", tmp_path / "dodecahedron.plc"
         src.write_bytes(encode_planar_code([build_dodecahedron()]) + TORUS_K4)
-        assert main(["diff", str(src), str(src)]) == 0
+        ref.write_bytes(encode_planar_code([build_dodecahedron()]))
+        assert main(["diff", str(src), str(ref)]) == 0
         out, err = capsys.readouterr()
         assert out == "fullerene buckets agree\n"
-        # the file is named twice but read, and its bad record named, once
         assert err.splitlines() == [f"{src}: record 1: V-E+F = 0, expected 2",
                                     f"{src}: ignored 1 records that are not fullerenes"]
 
