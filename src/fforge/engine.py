@@ -1,10 +1,11 @@
 """Isomorph-free enumeration, the independent spiral oracle, and the CLI.
 
 The closure engine grows the dodecahedron breadth-first under a regime's
-operations, deduplicating by canonical code; the oracle generates the same
-fullerene universe by exhaustive face-spiral windup and shares nothing with
-the growth machinery beyond the map kernel, so the two can referee each
-other.
+operations, keeping one canonical map per isomorphism class; the oracle
+generates the same fullerene universe by exhaustive face-spiral windup and
+shares nothing with the growth machinery beyond the map kernel, so the two
+can referee each other.  Both deduplicate through ``GeneratedSet``: an
+invariant bucket and a walk test, and a canonical search for new classes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional, Sequence
 from .planar_map import (
     MapError,
     PlanarMap,
+    _decode_symbols,
     build_dodecahedron,
     check_polytopal,
     encode_planar_code,
@@ -70,19 +72,47 @@ class GeneratedEntry:
     step: Optional[GrowthStep] = None
 
 
+def bucket_key(m: PlanarMap) -> tuple:
+    """An isomorphism invariant that mirror images share: the sorted
+    (face size, sorted neighbour face sizes) of every face."""
+    fs = m.face_sizes
+    return tuple(sorted(
+        (fs[f], tuple(sorted(fs[g] for g in m.face_neighbors(f)))) for f in range(m.num_faces)
+    ))
+
+
 @dataclass
 class GeneratedSet:
-    """Canonical-code-keyed store of generated maps."""
+    """Canonical-code-keyed store of generated maps.
+
+    The entries' code symbols are also bucketed by ``bucket_key``, so a
+    candidate is walk-tested only against the entries it could equal, and
+    only a candidate that reads none of their codes needs a canonical search.
+    """
 
     max_p6: int
+    include_reflection: bool = True
     entries: dict[bytes, GeneratedEntry] = field(default_factory=dict)
     complete: bool = True
+    _buckets: dict[tuple, list[list[int]]] = field(default_factory=dict, repr=False)
 
-    def add(self, code: bytes, entry: GeneratedEntry) -> bool:
+    def holds(self, m: PlanarMap) -> bool:
+        """Whether ``m`` is isomorphic to a stored entry (mirror images
+        identified when the set's ``include_reflection`` is set)."""
+        refl = self.include_reflection
+        return any(m.reads_code(syms, refl) for syms in self._buckets.get(bucket_key(m), ()))
+
+    def add(self, code: bytes, entry: GeneratedEntry) -> None:
+        """Store ``entry``, whose map is in canonical labels, under its code.
+
+        Raises:
+            MapError: the code is already stored; a caller adds only maps
+                that ``holds`` rejected, so the walk test missed an isomorph.
+        """
         if code in self.entries:
-            return False
+            raise MapError(f"canonical code {code.hex()} is already stored")
         self.entries[code] = entry
-        return True
+        self._buckets.setdefault(bucket_key(entry.map), []).append(_decode_symbols(code)[1:])
 
     def fullerene_codes(self) -> dict[int, list[bytes]]:
         out: dict[int, list[bytes]] = {p6: [] for p6 in range(self.max_p6 + 1)}
@@ -130,7 +160,7 @@ def enumerate_closure(job: EnumerationJob) -> GeneratedSet:
     refl = job.include_reflection
     max_faces = 12 + job.max_p6
     start = build_dodecahedron().canonical_form(refl)[0]
-    out = GeneratedSet(job.max_p6)
+    out = GeneratedSet(job.max_p6, refl)
     code0 = start.canonical_code(refl)
     out.add(code0, GeneratedEntry(start, classify_shape(start), 0))
     frontier: list[tuple[bytes, PlanarMap]] = [(code0, start)]
@@ -144,9 +174,9 @@ def enumerate_closure(job: EnumerationJob) -> GeneratedSet:
                     cls = classify_shape(raw)
                     if cls not in _REGIME_CLASSES[job.regime]:
                         continue
-                    code = raw.canonical_code(refl)
-                    if code in out.entries:
+                    if out.holds(raw):
                         continue
+                    code = raw.canonical_code(refl)
                     canon = raw.canonical_form(refl)[0]
                     if not check_polytopal(canon):
                         raise MapError(f"enumeration produced a non-polytopal map ({kind.name})")
@@ -257,7 +287,7 @@ def oracle_generate(max_p6: int, include_reflection: bool = True) -> GeneratedSe
         raise MapError("max_p6 must be nonnegative")
     if max_p6 > 30:
         raise BoundTooLargeError("spiral completeness is only assumed up to p6 = 30")
-    out = GeneratedSet(max_p6)
+    out = GeneratedSet(max_p6, include_reflection)
     for p6 in range(max_p6 + 1):
         nface = 12 + p6
         prefix: list = []
@@ -271,10 +301,9 @@ def oracle_generate(max_p6: int, include_reflection: bool = True) -> GeneratedSe
             pv = p_vector(m)
             if not pv.is_fullerene():
                 raise MapError("windup produced a non-fullerene")
-            code = m.canonical_code(include_reflection)
-            if code not in out.entries:
+            if not out.holds(m):
                 canon = m.canonical_form(include_reflection)[0]
-                out.add(code, GeneratedEntry(canon, classify_shape(canon), p6))
+                out.add(m.canonical_code(include_reflection), GeneratedEntry(canon, classify_shape(canon), p6))
     return out
 
 
@@ -359,7 +388,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _load_set(path, include_reflection=True) -> tuple[GeneratedSet, int]:
+def _load_set(path) -> tuple[GeneratedSet, int]:
     """The fullerenes of a planar_code file and how many records were not
     fullerenes; a record that is no valid map is also reported on stderr."""
     out = GeneratedSet(0)
@@ -374,8 +403,9 @@ def _load_set(path, include_reflection=True) -> tuple[GeneratedSet, int]:
             others += 1
             continue
         out.max_p6 = max(out.max_p6, pv[6])
-        canon = m.canonical_form(include_reflection)[0]
-        out.add(m.canonical_code(include_reflection), GeneratedEntry(canon, classify_shape(canon), pv[6]))
+        if not out.holds(m):
+            canon = m.canonical_form()[0]
+            out.add(m.canonical_code(), GeneratedEntry(canon, classify_shape(canon), pv[6]))
     return out, others
 
 

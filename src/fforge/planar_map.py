@@ -249,8 +249,15 @@ class PlanarMap:
     def _next_inverse(self) -> tuple[int, ...]:
         return tuple(3 * (d // 3) + (d + 2) % 3 for d in range(self.num_darts))
 
-    def _code_symbols(self, sigma, d0: int, best):
-        """First-visit labeling walk from dart d0; None if worse than best."""
+    def _orientations(self, include_reflection: bool):
+        """``(sigma, reflected)`` per rotation a walk may follow."""
+        if include_reflection:
+            return ((self._next, False), (self._next_inverse, True))
+        return ((self._next, False),)
+
+    def _code_symbols(self, sigma, d0: int, best, exact: bool = False):
+        """First-visit labeling walk from dart d0; None if worse than best,
+        or with ``exact``, as soon as a symbol differs from best's."""
         twin = self._twin
         nv = self.num_vertices
         label = [0] * nv
@@ -280,6 +287,8 @@ class PlanarMap:
                     if lab > b:
                         return None
                     if lab < b:
+                        if exact:
+                            return None
                         improving = True
                 d = sigma[d]
         return out
@@ -330,14 +339,11 @@ class PlanarMap:
         fo = self.face_of
         fs = self.face_sizes
         twin = self._twin
-        orientations = [(self._next, False)]
-        if include_reflection:
-            orientations.append((self._next_inverse, True))
         # prefix = face sizes left/right of the starting dart; only darts with
         # the minimal prefix can start a minimal code
         best_prefix = None
         cands = []
-        for sigma, refl in orientations:
+        for sigma, refl in self._orientations(include_reflection):
             for d in range(self.num_darts):
                 a, b = fs[fo[d]], fs[fo[twin[d]]]
                 if refl:
@@ -430,6 +436,30 @@ class PlanarMap:
             return False
         self._code_cache[True] = (code, found[1])
         return True
+
+    def reads_code(self, symbols: Sequence[int], include_reflection: bool = True) -> bool:
+        """Whether some labeling walk of this map reads ``symbols`` in full.
+
+        ``symbols`` is a code after its vertex count: the face-size prefix,
+        then the walk.  Only starts with that prefix are walked, each in
+        exact mode, and the first walk that reads every symbol answers True;
+        with ``include_reflection`` the mirror rotation is tried as well.  A
+        walk encodes the whole map, so True proves this map isomorphic to
+        the code's map, but not that the code is minimal: nothing is cached.
+        """
+        if len(symbols) != 2 + self.num_darts:
+            return False
+        fo, fs, twin = self.face_of, self.face_sizes, self._twin
+        for sigma, refl in self._orientations(include_reflection):
+            left, right = (symbols[1], symbols[0]) if refl else (symbols[0], symbols[1])
+            for d in range(self.num_darts):
+                if (
+                    fs[fo[d]] == left
+                    and fs[fo[twin[d]]] == right
+                    and self._code_symbols(sigma, d, symbols, exact=True) is not None
+                ):
+                    return True
+        return False
 
     def canonical_code(self, include_reflection: bool = True) -> bytes:
         """Byte string identifying the isomorphism class of this map.

@@ -9,6 +9,7 @@ placement from one start dart to check which start darts are tried.
 from __future__ import annotations
 
 import itertools
+import random
 
 from fforge import PlanarMap
 
@@ -231,6 +232,26 @@ def ipr_c60() -> PlanarMap:
     m = _windup(sizes)
     assert m is not None
     return m
+
+
+def relabeled(m: PlanarMap, seed: int) -> PlanarMap:
+    """A copy of ``m`` with its vertices shuffled by a seeded permutation."""
+    perm = list(range(m.num_vertices))
+    random.Random(seed).shuffle(perm)
+    rot = [None] * m.num_vertices
+    for v in range(m.num_vertices):
+        rot[perm[v]] = [perm[u] for u in m.neighbors(v)]
+    return PlanarMap.from_rotation(rot)
+
+
+def mirrored(m: PlanarMap) -> PlanarMap:
+    """The mirror image of a map: every vertex's rotation reversed, so dart
+    ``3v + j`` becomes ``3v + (-j mod 3)``."""
+    flip = [3 * (d // 3) + (3 - d % 3) % 3 for d in range(m.num_darts)]
+    twin = [0] * m.num_darts
+    for d in range(m.num_darts):
+        twin[flip[d]] = flip[m.twin(d)]
+    return PlanarMap(twin)
 
 
 def leapfrog(m: PlanarMap) -> PlanarMap:

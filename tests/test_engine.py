@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 
 import pytest
@@ -13,6 +15,8 @@ from fforge import (
 from fforge.engine import (
     BoundTooLargeError,
     EnumerationJob,
+    GeneratedSet,
+    _load_set,
     cross_check,
     enumerate_closure,
     main,
@@ -22,6 +26,7 @@ from fforge.engine import (
 from fforge.planar_map import MapError
 
 import helpers
+from helpers import relabeled
 
 # fullerene isomer counts C20..C60 (p6 = 0..20), mirror images identified:
 # Fowler & Manolopoulos, "An Atlas of Fullerenes" (1995); OEIS A007894
@@ -45,6 +50,11 @@ FIXTURE_PLC = (
 # a planar_code record that decodes but embeds K4 on the torus, so it is no
 # valid sphere map
 TORUS_K4 = bytes([4, 2, 3, 4, 0, 1, 3, 4, 0, 1, 2, 4, 0, 1, 3, 2, 0])
+
+
+@functools.lru_cache(maxsize=None)
+def _oriented_oracle(max_p6: int):
+    return oracle_generate(max_p6, include_reflection=False)
 
 
 class TestOracle:
@@ -211,6 +221,63 @@ class TestEnumerate:
         total_without = sum(chiral.fullerene_counts())
         assert total_without > total_with  # some fullerene here is chiral
 
+    @pytest.mark.parametrize("max_p6", [6, pytest.param(8, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_closure_without_reflection_matches_the_oracle(self, regime, max_p6):
+        oracle = _oriented_oracle(max_p6)
+        gen = enumerate_closure(EnumerationJob(regime, max_p6, include_reflection=False))
+        report = cross_check(gen, oracle)
+        assert report.clean, report.summary()
+        if max_p6 == 6:
+            assert gen.fullerene_counts() == [1, 0, 1, 1, 3, 3, 10]  # chiral classes count twice
+
+    def test_a_stored_code_is_never_added_again(self, gen_seven):
+        gen = GeneratedSet(gen_seven.max_p6)
+        code, entry = next(iter(gen_seven.entries.items()))
+        gen.add(code, entry)
+        assert gen.holds(relabeled(helpers.mirrored(entry.map), 3))
+        with pytest.raises(MapError, match="already stored"):
+            gen.add(code, entry)
+
+
+def _entries_text(gen) -> str:
+    """One JSON line per entry in code order: code, parent, step, canonical
+    twin, class and p6."""
+    return "".join(
+        json.dumps([
+            code.hex(), e.parent and e.parent.hex(), e.step and e.step.to_json(),
+            list(e.map._twin), e.cls.value, e.p6,
+        ]) + "\n"
+        for code, e in sorted(gen.entries.items())
+    )
+
+
+# sha256 of _entries_text of the oracle to p6 = 7, per reflection flag
+PINNED_ORACLE_ENTRIES = {
+    True: "4b96a3a807855f7354ffa28e67f22745ff860a4151c88064460fa84e7dd77e8c",
+    False: "c1a6e78d5c84aa90c07b323e0d940ca3a4da17b5c89d395943016aca1ca79162",
+}
+
+
+@pytest.mark.parametrize("include_reflection", [True, False])
+def test_oracle_entries_are_pinned(include_reflection):
+    gen = oracle_generate(7, include_reflection=include_reflection)
+    assert hashlib.sha256(_entries_text(gen).encode()).hexdigest() == PINNED_ORACLE_ENTRIES[include_reflection]
+
+
+# sha256 of _entries_text of each regime's closure to p6 = 7 without reflection
+PINNED_ORIENTED_CLOSURE_ENTRIES = {
+    Regime.SEVEN: "6898242af73a05afa7b4f647dec70a709d05a83942f93080a1a2cfde847a0e6d",
+    Regime.A_OPS: "6cb6464292c7a483159f03ed8bc6d1b0fce7a21664b6353737bd9fd23a684a54",
+    Regime.AB_OPS: "b942dec774355b1f80133bdf82cf620d69e7497825dde60a12f04e4e5e2c6fb5",
+}
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_closure_entries_without_reflection_are_pinned(regime):
+    gen = enumerate_closure(EnumerationJob(regime, 7, include_reflection=False))
+    assert hashlib.sha256(_entries_text(gen).encode()).hexdigest() == PINNED_ORIENTED_CLOSURE_ENTRIES[regime]
+
 
 class TestCrossCheck:
     def test_self_diff_empty(self, oracle5):
@@ -365,6 +432,18 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "fullerene buckets agree\n"
         assert err.splitlines() == [f"{a}: ignored 2 records that are not fullerenes"]
+
+    def test_diff_keeps_one_entry_per_class(self, tmp_path, capsys):
+        from fforge import write_planar_code
+
+        c24 = helpers.barrel_c24()
+        a, b = tmp_path / "a.plc", tmp_path / "b.plc"
+        write_planar_code(a, [c24, build_dodecahedron(), relabeled(c24, 1), helpers.mirrored(c24)])
+        write_planar_code(b, [build_dodecahedron(), c24])
+        gen, others = _load_set(a)
+        assert (sorted(gen.entries), others) == (sorted(_load_set(b)[0].entries), 0)
+        assert main(["diff", str(a), str(b)]) == 0
+        assert capsys.readouterr().out == "fullerene buckets agree\n"
 
     def test_diff_reports_an_invalid_record_and_goes_on(self, tmp_path, capsys):
         src, ref = tmp_path / "mixed.plc", tmp_path / "dodecahedron.plc"

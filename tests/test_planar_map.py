@@ -19,20 +19,16 @@ from fforge.planar_map import (
     NonSphericalError,
     TruncatedRecordError,
     VertexOverflowError,
+    _decode_symbols,
 )
 
+from fforge.engine import EnumerationJob, bucket_key, enumerate_closure
+from fforge.growth import Regime
+
 import helpers
+from helpers import relabeled
 
 TETRA_ROT = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
-
-
-def relabeled(m: PlanarMap, seed: int) -> PlanarMap:
-    perm = list(range(m.num_vertices))
-    random.Random(seed).shuffle(perm)
-    rot = [None] * m.num_vertices
-    for v in range(m.num_vertices):
-        rot[perm[v]] = [perm[u] for u in m.neighbors(v)]
-    return PlanarMap.from_rotation(rot)
 
 
 class TestConstruction:
@@ -267,6 +263,66 @@ class TestHasCanonicalCode:
         two_byte = b"\0" + b"".join(s.to_bytes(2, "big") for s in [nv] + syms)
         for bad in (codes[1], lowered, two_byte, true[:-1], b"", b"\0", b"\0\0"):
             assert not relabeled(m, 2).has_canonical_code(bad)
+
+
+def _symbols(m: PlanarMap, include_reflection: bool = True) -> list[int]:
+    """The symbols of ``m``'s canonical code after its vertex count."""
+    return _decode_symbols(PlanarMap(m._twin).canonical_code(include_reflection))[1:]
+
+
+def _copies(gen_seven, gen_a, gen_ab):
+    """``(map, copy)`` for each closure fixture map and two seeded
+    relabelings of it and of its mirror image."""
+    for gen in (gen_seven, gen_a, gen_ab):
+        for i, e in enumerate(gen.entries.values()):
+            for seed in (i, i + 1):
+                yield e.map, relabeled(e.map, seed)
+                yield e.map, relabeled(helpers.mirrored(e.map), seed)
+
+
+class TestWalkTest:
+    """``bucket_key`` and ``PlanarMap.reads_code``, the closure's and the
+    oracle's duplicate test."""
+
+    def test_key_is_equal_on_relabeled_and_mirrored_copies(self, gen_seven, gen_a, gen_ab):
+        for m, copy in _copies(gen_seven, gen_a, gen_ab):
+            assert bucket_key(copy) == bucket_key(m)
+
+    def test_accepts_relabeled_and_mirrored_copies(self, gen_seven, gen_a, gen_ab):
+        for m, copy in _copies(gen_seven, gen_a, gen_ab):
+            assert copy.reads_code(_symbols(m))
+            assert "_code_cache" not in copy.__dict__
+
+    def test_rejects_other_maps_with_the_same_key(self):
+        gen = enumerate_closure(EnumerationJob(Regime.SEVEN, 8))
+        buckets = {}
+        for e in gen.entries.values():
+            buckets.setdefault(bucket_key(e.map), []).append(e.map)
+        shared = [ms for ms in buckets.values() if len(ms) > 1]
+        assert shared  # the key does not tell every class apart
+        for ms in shared:
+            for a in ms:
+                for b in ms:
+                    copy = relabeled(helpers.mirrored(b), 5)
+                    assert copy.reads_code(_symbols(a)) == (a is b)
+
+    def test_without_reflection_a_chiral_mirror_is_rejected(self, gen_seven):
+        chiral = 0
+        for i, e in enumerate(gen_seven.entries.values()):
+            m = relabeled(e.map, i)
+            mirror = relabeled(helpers.mirrored(e.map), i + 1)
+            assert m.reads_code(_symbols(e.map, False), False)
+            if _symbols(mirror, False) != _symbols(m, False):
+                chiral += 1
+                assert not mirror.reads_code(_symbols(e.map, False), False)
+                assert mirror.reads_code(_symbols(e.map, False), True)
+        assert chiral
+
+    def test_rejects_symbol_lists_of_the_wrong_length(self, gen_seven):
+        for e in gen_seven.entries.values():
+            syms = _symbols(e.map)
+            for bad in ([], syms[:2], syms[:-1], syms + [1], syms + syms[-3:]):
+                assert not e.map.reads_code(bad)
 
 
 
