@@ -3,7 +3,6 @@
 from .planar_map import (
     PlanarMap,
     PVector,
-    build_dodecahedron,
     check_polytopal,
     decode_planar_code,
     encode_planar_code,
@@ -41,6 +40,7 @@ from .growth import (
     apply_growth,
     build_D5k,
     build_F3k,
+    build_dodecahedron,
     recognize_nanotube,
     reduce_once,
     reduce_to_dodecahedron,

@@ -22,7 +22,6 @@ from .planar_map import (
     MapError,
     PlanarMap,
     _decode_symbols,
-    build_dodecahedron,
     check_polytopal,
     encode_planar_code,
     map_from_faces,
@@ -36,6 +35,7 @@ from .growth import (
     GrowthStep,
     Regime,
     _REGIME_CLASSES,
+    build_dodecahedron,
     recognize_nanotube,
     reduce_to_dodecahedron,
     successor_candidates,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .planar_map import MapError, PlanarMap, build_dodecahedron, map_from_faces, p_vector
+from .planar_map import MapError, PlanarMap, map_from_faces, p_vector
 from .structure import (
     FamilyClass,
     Fragment,
@@ -216,6 +216,11 @@ def build_D5k(k: int) -> PlanarMap:
         faces.append((ys[j], xs[j], ys[i], p[i], p[j]))
     faces.append(tuple(reversed(p)))
     return map_from_faces(faces)
+
+
+def build_dodecahedron() -> PlanarMap:
+    """The unique all-pentagon map: 20 vertices, 30 edges, 12 faces."""
+    return build_D5k(0)
 
 
 def build_F3k(k: int) -> PlanarMap:
@@ -488,16 +493,26 @@ def _run_chain(m_canon: PlanarMap, sites, chain: Sequence[GrowthOpKind]) -> Plan
 def replay_step(m_canon: PlanarMap, step: GrowthStep) -> PlanarMap:
     """Replay a recorded step on a canonical predecessor; verifies the code.
 
-    Every sub-site must match its truncation (``_run_chain``).  The result
-    is checked against the recorded code by a search bounded by that code,
-    which also labels the canonical copy.
+    A cap step must be its family's cap insertion on that family's map with
+    k layers; a truncation step must name a chain, and every sub-site must
+    match its truncation (``_run_chain``).  The result's canonical code must
+    equal the recorded code byte for byte.
     """
     if step.site[0] == "cap":
         fam, k = step.site[1], step.site[2]
-        out = _CAPS[fam][1](k + 1)
+        if fam not in _CAPS:
+            raise SiteMismatchError(f"no nanotube family {fam!r}")
+        kind, builder = _CAPS[fam]
+        if step.kind is not kind:
+            raise SiteMismatchError(f"a {fam} cap step is {kind.name}, not {step.kind.name}")
+        if m_canon.canonical_code() != builder(k).canonical_code():
+            raise SiteMismatchError(f"the predecessor is not {fam}({k})")
+        out = builder(k + 1)
+    elif step.kind in KIND_CHAINS:
+        out = _run_chain(m_canon, step.site[1], KIND_CHAINS[step.kind])
     else:
-        out = _run_chain(m_canon, step.site[1], KIND_CHAINS.get(step.kind, ()))
-    if not out.has_canonical_code(step.code):
+        raise SiteMismatchError(f"{step.kind.name} is no truncation chain")
+    if out.canonical_code() != step.code:
         raise MapError(f"replay of {step.kind.name} did not reproduce the recorded code")
     return _canonicalize(out)
 
@@ -507,6 +522,8 @@ def replay_trace(trace: DerivationTrace) -> PlanarMap:
     if m.canonical_code() != trace.start_code:
         raise MapError("trace does not start at the dodecahedron")
     for step in trace.steps:
+        if step.kind not in _REGIME_KINDS[trace.regime]:
+            raise IllegalTransitionError(f"{step.kind.name} is not in regime {trace.regime.value}")
         m = replay_step(m, step)
     return m
 

@@ -16,7 +16,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
 
@@ -317,14 +317,8 @@ class PlanarMap:
             i += 1
         return dart_map
 
-    def _canonical_search(self, include_reflection: bool, seed: Optional[list[int]] = None):
+    def _canonical_search(self, include_reflection: bool):
         """``(symbols, winning start)`` of the least code over all starts.
-
-        With ``seed``, the symbols of a claimed code, every walk is bounded by
-        the claim from the first start on.  The claim fails, and the result
-        is None, as soon as a prefix or a walk falls below it, or when no walk
-        reads it; otherwise the winner is the first start whose walk reads
-        it, the start the unbounded search picks.
 
         Starts are pruned by the automorphisms the search finds.  A walk
         that reads the winner's code in full gives the automorphism that
@@ -354,10 +348,7 @@ class PlanarMap:
                     cands = [(d, sigma, refl, p)]
                 elif p == best_prefix:
                     cands.append((d, sigma, refl, p))
-        if seed is not None and list(best_prefix) != seed[:2]:
-            return None
-        best = seed
-        winner = None
+        best = winner = None
         # union-find over the candidates; walked[root]: the class holds a
         # walked start; slot[refl][d]: the candidate (d, refl)
         parent = list(range(len(cands)))
@@ -379,13 +370,9 @@ class PlanarMap:
                 continue
             full = [p[0], p[1]] + syms
             if best is None or full < best:
-                if seed is not None:
-                    return None  # the map's code is below the claim
                 best = full
                 winner = (d, sigma, refl)
                 win_map = None
-            elif winner is None:
-                winner = (d, sigma, refl)  # first walk reading the claim
             else:
                 # a tie: psi = (relabeling from d)^-1 . (relabeling from
                 # winner) is an automorphism that sends the winner to d
@@ -404,8 +391,6 @@ class PlanarMap:
                     if a != b:
                         parent[a] = b
                         walked[b] = walked[b] or walked[a]
-        if winner is None:
-            return None
         return best, winner
 
     def _canonical(self, include_reflection: bool):
@@ -416,26 +401,6 @@ class PlanarMap:
             best, winner = self._canonical_search(include_reflection)
             hit = cache[include_reflection] = (_encode_symbols(self.num_vertices, best), winner)
         return hit
-
-    def has_canonical_code(self, code: bytes) -> bool:
-        """Whether ``code`` is this map's (mirror-identifying) canonical code.
-
-        Runs the canonical search with ``code`` as the bound from the first
-        start on, instead of searching for the code and comparing.  On a match
-        the winning start is cached with the code, so ``canonical_code`` and
-        ``canonical_form`` do not search again.
-        """
-        hit = self._code_cache.get(True)
-        if hit is not None:
-            return hit[0] == code
-        seed = _decode_symbols(code)
-        if seed is None or seed[0] != self.num_vertices or len(seed) != 3 + self.num_darts:
-            return False
-        found = self._canonical_search(True, seed[1:])
-        if found is None:
-            return False
-        self._code_cache[True] = (code, found[1])
-        return True
 
     def reads_code(self, symbols: Sequence[int], include_reflection: bool = True) -> bool:
         """Whether some labeling walk of this map reads ``symbols`` in full.
@@ -513,20 +478,11 @@ def _encode_symbols(nv: int, symbols: list[int]) -> bytes:
     return bytes(out)
 
 
-def _decode_symbols(code: bytes) -> Optional[list[int]]:
-    """``[nv, *symbols]`` of a code in the form ``_encode_symbols`` writes,
-    or None if the bytes are not such a code."""
-    if not code:
-        return None
+def _decode_symbols(code: bytes) -> list[int]:
+    """``[nv, *symbols]`` of a code ``_encode_symbols`` wrote."""
     if code[0]:
-        vals = list(code)
-    else:
-        if len(code) < 3 or len(code) % 2 == 0:
-            return None
-        vals = [int.from_bytes(code[i:i + 2], "big") for i in range(1, len(code), 2)]
-    if _encode_symbols(vals[0], vals[1:]) != code:
-        return None
-    return vals
+        return list(code)
+    return [int.from_bytes(code[i:i + 2], "big") for i in range(1, len(code), 2)]
 
 
 def map_from_faces(face_cycles: Iterable[Sequence[int]]) -> PlanarMap:
@@ -559,26 +515,6 @@ def map_from_faces(face_cycles: Iterable[Sequence[int]]) -> PlanarMap:
             raise MapError(f"rotation at vertex {v} does not close up")
         rot.append(row)
     return PlanarMap.from_rotation(rot)
-
-
-def build_dodecahedron() -> PlanarMap:
-    """The unique all-pentagon map: 20 vertices, 30 edges, 12 faces."""
-    # top cap: center pentagon 0..4, boundary ring a_i=5+2i (spoked), b_i=6+2i
-    t = [0, 1, 2, 3, 4]
-    a = [5 + 2 * i for i in range(5)]
-    b = [6 + 2 * i for i in range(5)]
-    p = [15 + i for i in range(5)]
-    faces: list[tuple[int, ...]] = [tuple(t)]
-    for i in range(5):
-        j = (i + 1) % 5
-        faces.append((t[j], t[i], a[i], b[i], a[j]))
-    # bottom cap glued to the boundary cycle [a0,b0,a1,b1,...]; the b_i take
-    # the bottom spokes
-    for i in range(5):
-        j = (i + 1) % 5
-        faces.append((b[j], a[j], b[i], p[i], p[j]))
-    faces.append(tuple(reversed(p)))
-    return map_from_faces(faces)
 
 
 # ----------------------------------------------------------------------

@@ -358,8 +358,9 @@ def _walk_code(m, d0: int) -> bytes:
 
 
 class TestReplayStep:
-    """replay_step confirms a step's recorded code by a search bounded by it;
-    every way the recorded code can be wrong still fails the step."""
+    """replay_step confirms a step's recorded code by byte equality with the
+    result's canonical code; every way the recorded code can be wrong, and
+    every forged step, still fails."""
 
     @pytest.fixture(scope="class", params=["trunc", "cap"])
     def last_step(self, request, oracle5):
@@ -394,6 +395,10 @@ class TestReplayStep:
             "a code below the true one": bytes([nv] + syms[:-1] + [syms[-1] - 1]),
             "the 2-byte form": b"\0" + b"".join(x.to_bytes(2, "big") for x in [nv] + syms),
             "a walk of the same map above its code": above,
+            "the code less its last byte": true[:-1],
+            "the empty code": b"",
+            "a zero byte": b"\0",
+            "two zero bytes": b"\0\0",
         }
 
     def test_edge_cut_from_the_other_face_is_rejected(self, dodeca):
@@ -415,13 +420,33 @@ class TestReplayStep:
 
     @pytest.mark.parametrize("which", [
         "another map's code", "a code below the true one", "the 2-byte form",
-        "a walk of the same map above its code",
+        "a walk of the same map above its code", "the code less its last byte",
+        "the empty code", "a zero byte", "two zero bytes",
     ])
     def test_wrong_code_fails_the_step(self, last_step, which):
         pred, step, _ = last_step
         bad = dataclasses.replace(step, code=self._bad(last_step)[which])
         with pytest.raises(MapError, match="did not reproduce the recorded code"):
             replay_step(pred, bad)
+
+    @pytest.mark.parametrize("regime, step, error", [
+        (Regime.A_OPS, (GrowthOpKind.A1, ("cap", "D5", 5), 6), SiteMismatchError),
+        (Regime.SEVEN, (GrowthOpKind.T155, ("cap", "D5", 0), 1), SiteMismatchError),
+        (Regime.A_OPS, (GrowthOpKind.A1, ("trunc", ()), 0), SiteMismatchError),
+        (Regime.A_OPS, (GrowthOpKind.A1, ("cap", "D6", 0), 1), SiteMismatchError),
+        (Regime.SEVEN, (GrowthOpKind.A1, ("cap", "D5", 0), 1), IllegalTransitionError),
+    ], ids=[
+        "a jump of five layers", "a cap step of a truncation kind", "an empty chain",
+        "an unknown family", "a step outside the regime",
+    ])
+    def test_forged_trace_fails(self, regime, step, error):
+        """Each forged step records the code its site yields, D5(k) for the
+        last entry of ``step``, so only the step's own checks reject it."""
+        kind, site, k = step
+        trace = DerivationTrace(regime, build_dodecahedron().canonical_code(),
+                                (GrowthStep(kind, site, build_D5k(k).canonical_code()),))
+        with pytest.raises(error):
+            replay_trace(trace)
 
 
 # sha256 of the JSONL traces that reduce C60 and the three fullerenes with

@@ -245,26 +245,6 @@ class TestCanonicalForm:
                     assert all(copy.twin(dart_map[d]) == dart_map[m.twin(d)] for d in range(m.num_darts))
 
 
-class TestHasCanonicalCode:
-    def test_accepts_the_code_and_caches_the_winning_start(self, gen_seven, gen_ab):
-        for gen in (gen_seven, gen_ab):
-            for i, e in enumerate(gen.entries.values()):
-                m = relabeled(e.map, i)
-                fresh = relabeled(e.map, i)
-                assert m.has_canonical_code(fresh.canonical_code())
-                assert m._canonical(True) == fresh._canonical(True)
-
-    def test_rejects_other_codes(self, oracle5):
-        codes = oracle5.fullerene_codes()[5]
-        m = relabeled(oracle5.entries[codes[0]].map, 1)
-        true = m.canonical_code()
-        nv, syms = true[0], list(true[1:])
-        lowered = bytes([nv]) + bytes(syms[:-1] + [syms[-1] - 1])
-        two_byte = b"\0" + b"".join(s.to_bytes(2, "big") for s in [nv] + syms)
-        for bad in (codes[1], lowered, two_byte, true[:-1], b"", b"\0", b"\0\0"):
-            assert not relabeled(m, 2).has_canonical_code(bad)
-
-
 def _symbols(m: PlanarMap, include_reflection: bool = True) -> list[int]:
     """The symbols of ``m``'s canonical code after its vertex count."""
     return _decode_symbols(PlanarMap(m._twin).canonical_code(include_reflection))[1:]
@@ -340,9 +320,9 @@ def _search_maps(gen_seven, gen_a, gen_ab):
 def _search_record(m: PlanarMap, other_code: bytes) -> str:
     """Everything the canonical search decides, each time on a fresh copy of
     ``m``: the code, canonical_form's dart map (which fixes the winning
-    start), flag and twin for both reflection flags, then has_canonical_code
-    and the winning start it caches, on the map's own code and on
-    ``other_code``."""
+    start), flag and twin for both reflection flags, then whether the code
+    equals the map's own code and ``other_code``, with the winning start on
+    a match."""
     rec = []
     for refl in (True, False):
         fresh = PlanarMap(m._twin)
@@ -350,7 +330,7 @@ def _search_record(m: PlanarMap, other_code: bytes) -> str:
         rec.append([fresh.canonical_code(refl).hex(), dart_map, reflected, copy._twin])
     for code in (bytes.fromhex(rec[0][0]), other_code):
         fresh = PlanarMap(m._twin)
-        found = fresh.has_canonical_code(code)
+        found = fresh.canonical_code() == code
         rec.append([found, found and fresh._canonical(True)[1][::2]])
     return repr(rec) + "\n"
 
