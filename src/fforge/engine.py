@@ -35,6 +35,7 @@ from .growth import (
     GrowthStep,
     Regime,
     _REGIME_CLASSES,
+    _dodecahedron_code,
     build_dodecahedron,
     recognize_nanotube,
     reduce_to_dodecahedron,
@@ -142,8 +143,6 @@ class GeneratedSet:
                 break
             steps.append(e.step)
             cur = e.parent
-        from .growth import _dodecahedron_code
-
         return DerivationTrace(regime, _dodecahedron_code(), tuple(reversed(steps)))
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Optional, Sequence
 
-from .planar_map import MapError, PlanarMap, map_from_faces, p_vector
+from .planar_map import MapError, PlanarMap, _decode_symbols, map_from_faces, p_vector
 from .structure import (
     FamilyClass,
     Fragment,
@@ -37,7 +38,8 @@ class AtDodecahedronError(MapError):
 
 
 class NoCaseAppliesError(MapError):
-    """No reduction case fired; carries a dump of the offending map."""
+    """No reduction case fired, or the step it gave failed its check; carries
+    a dump of the offending map."""
 
     def __init__(self, message: str, m: PlanarMap):
         from .planar_map import encode_planar_code
@@ -119,6 +121,17 @@ _FACE_GAIN: dict[GrowthOpKind, int] = {
 }
 
 
+def _read(obj, key: str, t: type, parse=lambda v: v):
+    """``parse(obj[key])`` for a value of exactly type ``t`` (no bool for
+    int); MapError naming ``key`` if it is missing or rejected."""
+    try:
+        if type(obj[key]) is t:
+            return parse(obj[key])
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise MapError(f"field {key!r} is missing or malformed")
+
+
 @dataclass(frozen=True)
 class GrowthStep:
     """One growth event with everything needed to replay it.
@@ -141,13 +154,19 @@ class GrowthStep:
 
     @staticmethod
     def from_json(obj: dict) -> "GrowthStep":
-        kind = GrowthOpKind[obj["kind"]]
-        p = obj["site"]
-        if p["type"] == "trunc":
-            site = ("trunc", tuple(tuple(x) for x in p["steps"]))
+        """The step ``to_json`` wrote; MapError names the first bad field."""
+        kind = _read(obj, "kind", str, GrowthOpKind.__getitem__)
+        p = _read(obj, "site", dict)
+        if _read(p, "type", str) == "trunc":
+            steps = _read(p, "steps", list)
+            if not all(type(x) is list and [type(v) for v in x] == [int, int] for x in steps):
+                raise MapError("field 'steps' holds a sub-site that is not two ints")
+            site = ("trunc", tuple(map(tuple, steps)))
+        elif p["type"] == "cap":
+            site = ("cap", _read(p, "family", str), _read(p, "k", int))
         else:
-            site = ("cap", p["family"], p["k"])
-        return GrowthStep(kind, site, bytes.fromhex(obj["code"]))
+            raise MapError(f"field 'type' is {p['type']!r}, not 'trunc' or 'cap'")
+        return GrowthStep(kind, site, _read(obj, "code", str, bytes.fromhex))
 
 
 @dataclass(frozen=True)
@@ -179,10 +198,21 @@ class DerivationTrace:
 
     @staticmethod
     def from_jsonl(text: str) -> "DerivationTrace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = json.loads(lines[0])
-        steps = tuple(GrowthStep.from_json(json.loads(ln)) for ln in lines[1:])
-        return DerivationTrace(Regime(head["regime"]), bytes.fromhex(head["start"]), steps)
+        """The trace ``to_jsonl`` wrote; MapError names the line and the
+        field of the first malformed record."""
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines:
+            raise MapError("the trace is empty")
+        i, head = lines[0]
+        try:
+            head = json.loads(head)
+            regime, start = _read(head, "regime", str, Regime), _read(head, "start", str, bytes.fromhex)
+            steps = []
+            for i, ln in lines[1:]:
+                steps.append(GrowthStep.from_json(json.loads(ln)))
+        except ValueError as e:
+            raise MapError(f"trace line {i}: {e}") from e
+        return DerivationTrace(regime, start, tuple(steps))
 
 
 # ----------------------------------------------------------------------
@@ -490,13 +520,12 @@ def _run_chain(m_canon: PlanarMap, sites, chain: Sequence[GrowthOpKind]) -> Plan
     return out
 
 
-def replay_step(m_canon: PlanarMap, step: GrowthStep) -> PlanarMap:
-    """Replay a recorded step on a canonical predecessor; verifies the code.
+def _apply_step(m_canon: PlanarMap, step: GrowthStep) -> PlanarMap:
+    """The raw map a recorded step gives on a canonical predecessor.
 
     A cap step must be its family's cap insertion on that family's map with
     k layers; a truncation step must name a chain, and every sub-site must
-    match its truncation (``_run_chain``).  The result's canonical code must
-    equal the recorded code byte for byte.
+    match its truncation (``_run_chain``).
     """
     if step.site[0] == "cap":
         fam, k = step.site[1], step.site[2]
@@ -507,17 +536,23 @@ def replay_step(m_canon: PlanarMap, step: GrowthStep) -> PlanarMap:
             raise SiteMismatchError(f"a {fam} cap step is {kind.name}, not {step.kind.name}")
         if m_canon.canonical_code() != builder(k).canonical_code():
             raise SiteMismatchError(f"the predecessor is not {fam}({k})")
-        out = builder(k + 1)
-    elif step.kind in KIND_CHAINS:
-        out = _run_chain(m_canon, step.site[1], KIND_CHAINS[step.kind])
-    else:
-        raise SiteMismatchError(f"{step.kind.name} is no truncation chain")
+        return builder(k + 1)
+    if step.kind in KIND_CHAINS:
+        return _run_chain(m_canon, step.site[1], KIND_CHAINS[step.kind])
+    raise SiteMismatchError(f"{step.kind.name} is no truncation chain")
+
+
+def replay_step(m_canon: PlanarMap, step: GrowthStep) -> PlanarMap:
+    """Replay a recorded step on a canonical predecessor (``_apply_step``);
+    the result's canonical code must equal the recorded code byte for byte."""
+    out = _apply_step(m_canon, step)
     if out.canonical_code() != step.code:
         raise MapError(f"replay of {step.kind.name} did not reproduce the recorded code")
     return _canonicalize(out)
 
 
 def replay_trace(trace: DerivationTrace) -> PlanarMap:
+    """Verify a trace whose codes are claims, as one read from a file."""
     m = _canonicalize(build_dodecahedron())
     if m.canonical_code() != trace.start_code:
         raise MapError("trace does not start at the dodecahedron")
@@ -592,14 +627,9 @@ def _candidate_darts(m: PlanarMap, kind: GrowthOpKind):
     return out
 
 
-_DODECA_CODE: Optional[bytes] = None
-
-
+@cache
 def _dodecahedron_code() -> bytes:
-    global _DODECA_CODE
-    if _DODECA_CODE is None:
-        _DODECA_CODE = build_dodecahedron().canonical_code()
-    return _DODECA_CODE
+    return build_dodecahedron().canonical_code()
 
 
 def reduce_once(m: PlanarMap, regime: Regime) -> tuple[PlanarMap, GrowthStep]:
@@ -649,6 +679,22 @@ def _undo_first(m: PlanarMap, cls: FamilyClass, code: bytes, regime: Regime):
     raise NoCaseAppliesError("no admissible truncation inverse found", m)
 
 
+def _p1_seam(m: PlanarMap) -> Optional[int]:
+    """The smaller dart of the seam of the P1 embedding with the least face
+    set, or None: an edge with a pentagon on each side and a hexagon at each
+    end, four distinct faces.  ``find_fragments`` anchors the P1 there."""
+    fs, fo = m.face_sizes, m.face_of
+    best = None
+    for d in m.edges:
+        p, q = fo[d], fo[m.twin(d)]
+        if fs[p] == fs[q] == 5:
+            a, b = m.edge_corner_faces(d)
+            key = sorted((p, q, a, b))
+            if fs[a] == fs[b] == 6 and len(set(key)) == 4 and (best is None or key < best[0]):
+                best = (key, d)
+    return None if best is None else best[1]
+
+
 def _reduce_adjacent_pentagons(m: PlanarMap, code: bytes):
     """Cap/patch dispatch for a fullerene with adjacent pentagons: peel a
     nanotube layer, or undo A4 at a P1 patch or A3 at a P2 patch, whose
@@ -659,18 +705,21 @@ def _reduce_adjacent_pentagons(m: PlanarMap, code: bytes):
             continue
         op, builder = _CAPS[fam]
         return _canonicalize(builder(k - 1)), GrowthStep(op, ("cap", fam, k - 1), code)
-    for patch, kind in ((Fragment.P1, GrowthOpKind.A4), (Fragment.P2, GrowthOpKind.A3)):
-        embs = find_fragments(m, patch)
+    seam = _p1_seam(m)
+    if seam is not None:
+        patch, kind, first = Fragment.P1, GrowthOpKind.A4, [seam]
+    else:
+        embs = find_fragments(m, Fragment.P2)
         if not embs:
-            continue
+            raise NoCaseAppliesError("adjacent pentagons but no cap or patch embeds", m)
         emb = min(embs, key=lambda e: sorted(e.faces))
         first = [d for d in m.faces[emb.face(0)] if m.face_of[m.twin(d)] == emb.face(1)]
-        got = _sequence_search(m, KIND_CHAINS[kind], _SOURCE_CLASSES[kind], first)
-        if got is None:
-            raise NoCaseAppliesError(f"{patch.name} patch did not straighten to a fullerene", m)
-        pred, sites = got
-        return pred, GrowthStep(kind, ("trunc", sites), code)
-    raise NoCaseAppliesError("adjacent pentagons but no cap or patch embeds", m)
+        patch, kind = Fragment.P2, GrowthOpKind.A3
+    got = _sequence_search(m, KIND_CHAINS[kind], _SOURCE_CLASSES[kind], first)
+    if got is None:
+        raise NoCaseAppliesError(f"{patch.name} patch did not straighten to a fullerene", m)
+    pred, sites = got
+    return pred, GrowthStep(kind, ("trunc", sites), code)
 
 
 def _sequence_search(
@@ -775,18 +824,26 @@ def successor_candidates(m: PlanarMap, regime: Regime, max_faces: int):
 
 
 def reduce_to_dodecahedron(m: PlanarMap, regime: Regime) -> DerivationTrace:
-    """Full reduction; the returned trace replays forward to ``m``'s code."""
+    """Full reduction; the returned trace replays forward to ``m``'s code.
+
+    Each step is checked as it is found: its kind is in the regime, and
+    ``_apply_step`` gives a map that reads the step's code, which is the
+    code the canonical search gave the map reduced.  NoCaseAppliesError
+    names the step, counting from 0 at ``m``."""
     cur = _canonicalize(m)
-    target_code = cur.canonical_code()
     steps: list[GrowthStep] = []
     guard = 4 * m.num_faces + 16
     while cur.canonical_code() != _dodecahedron_code():
-        cur, step = reduce_once(cur, regime)
+        pred, step = reduce_once(cur, regime)
+        try:
+            if step.kind not in _REGIME_KINDS[regime]:
+                raise IllegalTransitionError(f"{step.kind.name} is not in regime {regime.value}")
+            if not _apply_step(pred, step).reads_code(_decode_symbols(step.code)[1:]):
+                raise MapError("the result is not the map the step was taken from")
+        except MapError as e:
+            raise NoCaseAppliesError(f"reduction step {len(steps)} ({step.kind.name}): {e}", cur) from e
         steps.append(step)
+        cur = pred
         if len(steps) > guard:
             raise NoCaseAppliesError("reduction did not terminate", m)
-    trace = DerivationTrace(regime, _dodecahedron_code(), tuple(reversed(steps)))
-    final = replay_trace(trace)
-    if final.canonical_code() != target_code:
-        raise MapError("reduction replay mismatch")
-    return trace
+    return DerivationTrace(regime, _dodecahedron_code(), tuple(reversed(steps)))

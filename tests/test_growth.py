@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 
@@ -28,14 +29,16 @@ from fforge.growth import (
     AtDodecahedronError,
     GrowthStep,
     IllegalTransitionError,
+    NoCaseAppliesError,
     SiteMismatchError,
     _canonical_site,
     _canonicalize,
+    _p1_seam,
     _site_matches,
     replay_step,
 )
-from fforge.planar_map import MapError, PlanarMap
-from fforge.structure import FamilyClass, NotAFullereneError
+from fforge.planar_map import MapError, PlanarMap, _decode_symbols, decode_planar_code
+from fforge.structure import FamilyClass, Fragment, NotAFullereneError, find_fragments
 from fforge.transform import EdgeRef, TruncationSite, straighten
 
 import helpers
@@ -318,6 +321,142 @@ class TestSequenceSearch:
         assert not pending, f"no forward images found for {pending}"
 
 
+class TestStepCheck:
+    """reduce_to_dodecahedron checks each step as it is found: a wrong
+    recorded step fails at that step, naming it and dumping its map."""
+
+    @staticmethod
+    def _reduce_with(monkeypatch, m, regime, forge):
+        """Reduce ``m`` with ``forge(pred, step)`` applied to the second
+        step found; returns the raised error and the map of that step."""
+        from fforge import growth
+
+        real, seen = growth.reduce_once, []
+
+        def forged_once(cur, regime):
+            pred, step = real(cur, regime)
+            seen.append(cur)
+            return pred, forge(pred, step) if len(seen) == 2 else step
+
+        monkeypatch.setattr(growth, "reduce_once", forged_once)
+        with pytest.raises(NoCaseAppliesError) as info:
+            reduce_to_dodecahedron(m, regime)
+        assert len(seen) == 2
+        return info.value, seen[1]
+
+    @staticmethod
+    def _other_dart(pred, step, matching):
+        """The first dart whose sub-site has the step's signature exactly
+        when ``matching``; a matching one must cut to another map."""
+        (s, _), = step.site[1]
+        kind = KIND_CHAINS[step.kind][0]
+        for d in range(pred.num_darts):
+            site = TruncationSite(pred.face_of[d], d, s)
+            if _site_matches(pred, site, kind) != matching:
+                continue
+            if not matching or truncate(pred, site).map.canonical_code() != step.code:
+                return d
+        raise AssertionError("no such dart")
+
+    @pytest.fixture(scope="class")
+    def c30(self, oracle5):
+        """A C30 whose seven-regime reduction takes T2655 twice first."""
+        return oracle5.entries[oracle5.fullerene_codes()[5][1]].map
+
+    def test_a_sub_site_without_the_signature_fails(self, monkeypatch, c30):
+        def forge(pred, step):
+            bad = (step.site[1][0][0], self._other_dart(pred, step, matching=False))
+            return dataclasses.replace(step, site=("trunc", (bad,)))
+
+        err, cur = self._reduce_with(monkeypatch, c30, Regime.SEVEN, forge)
+        assert re.match(r"reduction step 1 \(T\d+\): sub-site 0 does not match", str(err))
+        assert re.search(r"map dump \(planar_code hex\): [0-9a-f]+$", str(err))
+        dump = str(err).rsplit(" ", 1)[1]
+        assert decode_planar_code(bytes.fromhex(dump))[0].canonical_code() == cur.canonical_code()
+        assert err.map is cur
+
+    def test_a_cut_giving_another_map_fails(self, monkeypatch, c30):
+        """A sub-site with the right signature that cuts elsewhere gives a
+        map of the same size that the walk test rejects."""
+        def forge(pred, step):
+            other = (step.site[1][0][0], self._other_dart(pred, step, matching=True))
+            return dataclasses.replace(step, site=("trunc", (other,)))
+
+        err, _ = self._reduce_with(monkeypatch, c30, Regime.SEVEN, forge)
+        assert re.match(r"reduction step 1 \(T\d+\): the result is not the map", str(err))
+
+    def test_a_kind_outside_the_regime_fails(self, monkeypatch, c30):
+        """A4 is the T2655 chain under its a-regime name, so only the
+        regime check tells the two apart."""
+        def forge(pred, step):
+            assert step.kind is GrowthOpKind.T2655
+            return dataclasses.replace(step, kind=GrowthOpKind.A4)
+
+        err, _ = self._reduce_with(monkeypatch, c30, Regime.SEVEN, forge)
+        assert str(err).startswith("reduction step 1 (A4): A4 is not in regime seven")
+
+    def test_a_cap_step_from_the_wrong_layer_fails(self, monkeypatch):
+        def forge(pred, step):
+            return dataclasses.replace(step, site=("cap", "D5", step.site[2] + 1))
+
+        err, _ = self._reduce_with(monkeypatch, build_D5k(3), Regime.A_OPS, forge)
+        assert str(err).startswith("reduction step 1 (A1): the predecessor is not D5(2)")
+
+    def test_walk_test_rejects_an_isomer(self, oracle5):
+        """The check's walk test tells apart maps of one size: every two
+        isomers with five hexagons, each against the other's code."""
+        isomers = [oracle5.entries[c].map for c in oracle5.fullerene_codes()[5]]
+        assert len(isomers) == 3
+        for a, b in itertools.product(isomers, repeat=2):
+            assert a.reads_code(_decode_symbols(b.canonical_code())[1:]) == (a is b)
+
+
+class TestP1Seam:
+    """The edge scan finds the seam ``min(find_fragments(m, P1))`` anchors."""
+
+    @staticmethod
+    def _referee(m):
+        embs = find_fragments(m, Fragment.P1)
+        if not embs:
+            return None
+        emb = min(embs, key=lambda e: sorted(e.faces))
+        first = [d for d in m.faces[emb.face(0)] if m.face_of[m.twin(d)] == emb.face(1)]
+        assert len(first) == 1
+        return first[0]
+
+    def test_matches_find_fragments(self, gen_a, gen_ab):
+        found = missing = 0
+        for gen in (gen_a, gen_ab):
+            for i, e in enumerate(gen.entries.values()):
+                if e.cls is not FamilyClass.F:
+                    continue
+                for m in (e.map, helpers.relabeled(e.map, i), helpers.mirrored(e.map)):
+                    seam = _p1_seam(m)
+                    assert seam == self._referee(m)
+                    found += seam is not None
+                    missing += seam is None
+        assert found >= 20 and missing >= 3
+
+    @pytest.mark.slow
+    def test_matches_find_fragments_on_every_map_reduction_scans(self, monkeypatch, trace_corpus):
+        """Every map the a and ab reductions of the trace corpus scan."""
+        from fforge import growth
+
+        scanned = []
+
+        def spy(m):
+            scanned.append(m)
+            return _p1_seam(m)
+
+        monkeypatch.setattr(growth, "_p1_seam", spy)
+        for m in trace_corpus:
+            for regime in (Regime.A_OPS, Regime.AB_OPS):
+                reduce_to_dodecahedron(m, regime)
+        assert len(scanned) >= 200
+        for m in scanned:
+            assert _p1_seam(m) == self._referee(m)
+
+
 class TestTraceDeterminism:
     def test_isomorphic_inputs_share_traces(self, oracle5):
         import random
@@ -501,6 +640,14 @@ def test_corpus_traces_are_pinned(regime, trace_corpus, corpus_traces):
 
 
 @pytest.mark.parametrize("regime", list(Regime))
+def test_corpus_traces_replay(regime, trace_corpus, corpus_traces):
+    """replay_trace, the verifier of traces read from a file, accepts every
+    trace the reduction returns, which checks its steps by walk tests."""
+    for m, trace in zip(trace_corpus, corpus_traces(regime), strict=True):
+        assert replay_trace(trace).canonical_code() == m.canonical_code()
+
+
+@pytest.mark.parametrize("regime", list(Regime))
 def test_every_recorded_sub_site_matches_its_truncation(regime, c60, corpus_traces):
     """Each sub-site of a reduce trace, read in the canonical labeling of the
     map it cuts, has the signature of its truncation in the kind's chain; a
@@ -571,3 +718,75 @@ class TestTraceSerialization:
         edge_cuts = trace.edge_truncation_count()
         two_edge = sum(1 for st in trace.steps for s, _ in st.site[1] if s == 2)
         assert edge_cuts + two_edge == len(trace)
+
+    _HEAD = {"regime": "a", "start": "14"}
+    _TRUNC = {"kind": "A4", "site": {"type": "trunc", "steps": [[2, 7]]}, "code": "0a0b"}
+    _CAP = {"kind": "A1", "site": {"type": "cap", "family": "D5", "k": 0}, "code": "0a0b"}
+
+    @staticmethod
+    def _with(record, path, value):
+        """A copy of a JSON record with the field at ``path`` set to ``value``."""
+        out = json.loads(json.dumps(record))
+        inner = out
+        for key in path[:-1]:
+            inner = inner[key]
+        inner[path[-1]] = value
+        return out
+
+    def test_a_well_formed_trace_reads(self):
+        text = "\n".join(json.dumps(r) for r in (self._HEAD, self._TRUNC, self._CAP)) + "\n"
+        trace = DerivationTrace.from_jsonl(text)
+        assert trace.regime is Regime.A_OPS and trace.start_code == b"\x14"
+        assert trace.steps == (
+            GrowthStep(GrowthOpKind.A4, ("trunc", ((2, 7),)), b"\n\x0b"),
+            GrowthStep(GrowthOpKind.A1, ("cap", "D5", 0), b"\n\x0b"),
+        )
+        assert trace.to_jsonl() == text
+
+    @pytest.mark.parametrize("record, path, value, field", [
+        ("step", ("kind",), "A9", "kind"),
+        ("step", ("kind",), 4, "kind"),
+        ("step", ("site", "type"), "loop", "type"),
+        ("step", ("site", "type"), None, "type"),
+        ("step", ("site",), [], "site"),
+        ("step", ("site", "steps"), [["2", 7]], "steps"),
+        ("step", ("site", "steps"), [[2, 7.0]], "steps"),
+        ("step", ("site", "steps"), [[True, 7]], "steps"),
+        ("step", ("site", "steps"), [[2, 7, 1]], "steps"),
+        ("step", ("site", "steps"), [2, 7], "steps"),
+        ("step", ("site", "steps"), "2,7", "steps"),
+        ("cap", ("site", "k"), "0", "k"),
+        ("cap", ("site", "k"), 0.5, "k"),
+        ("cap", ("site", "family"), 5, "family"),
+        ("step", ("code",), "0g", "code"),
+        ("step", ("code",), 10, "code"),
+        ("head", ("regime",), "abc", "regime"),
+        ("head", ("start",), "x", "start"),
+    ], ids=[
+        "unknown kind", "kind not a name", "unknown site type", "null site type",
+        "site not an object", "string s", "float dart", "bool s", "three-int sub-site",
+        "sub-site not a list", "steps not a list", "string k", "float k", "int family",
+        "non-hex code", "int code", "unknown regime", "non-hex start",
+    ])
+    def test_a_malformed_field_names_its_line_and_field(self, record, path, value, field):
+        """The bad record is the last line, after a blank one; a cap step's
+        fields are read from the line after a truncation step."""
+        records = [self._HEAD, self._TRUNC, self._CAP]
+        i = {"head": 0, "step": 1, "cap": 2}[record]
+        records[i] = self._with(records[i], path, value)
+        lines = [json.dumps(r) for r in records[:i]] + ["", json.dumps(records[i])]
+        with pytest.raises(MapError, match=rf"^trace line {i + 2}: field '{field}'"):
+            DerivationTrace.from_jsonl("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "the trace is empty"),
+        ("\n  \n", "the trace is empty"),
+        ('{"regime": "a", "start": "14"}\n{"kind": ', "trace line 2: "),
+        ("[1, 2]\n", "trace line 1: field 'regime'"),
+        ('{"regime": "a", "start": "14"}\n"A4"\n', "trace line 2: field 'kind'"),
+        ('{"regime": "a", "start": "14"}\n{"kind": "A4", "code": "0a"}\n', "trace line 2: field 'site'"),
+    ], ids=["empty", "blank lines only", "cut-off JSON", "head not an object",
+            "step not an object", "missing site"])
+    def test_a_malformed_trace_raises_map_error(self, text, message):
+        with pytest.raises(MapError, match=f"^{re.escape(message)}"):
+            DerivationTrace.from_jsonl(text)
