@@ -25,8 +25,8 @@ from .planar_map import (
     encode_planar_code,
     map_from_faces,
     p_vector,
+    planar_code_from_codes,
     planar_code_records,
-    write_planar_code,
 )
 from .structure import FamilyClass, classify, classify_shape, find_belts, five_belt_census
 from .growth import (
@@ -80,10 +80,9 @@ class GeneratedEntry:
 def bucket_key(m: PlanarMap) -> tuple:
     """An isomorphism invariant that mirror images share: the sorted
     (face size, sorted neighbour face sizes) of every face."""
-    fs = m.face_sizes
-    return tuple(sorted(
-        (fs[f], tuple(sorted(fs[g] for g in m.face_neighbors(f)))) for f in range(m.num_faces)
-    ))
+    fs, fo = m.face_sizes, m.face_of
+    across = [fs[fo[t]] for t in m._twin]  # the face size across each dart
+    return tuple(sorted((len(c), tuple(sorted([across[d] for d in c]))) for c in m.faces))
 
 
 @dataclass
@@ -93,14 +92,15 @@ class GeneratedSet:
     The codes are also bucketed by ``bucket_key``, so a map is walk-tested
     only against the codes it could equal, and only a map that reads none
     of them needs a canonical search.  A code is the only stored form of
-    its class: an entry's map is rebuilt from it.
-    """
+    its class: an entry's map is rebuilt from it.  A new key is stored built
+    from shared per-face tuples, since they take few distinct values."""
 
     max_p6: int
     include_reflection: bool = True
     entries: dict[bytes, GeneratedEntry] = field(default_factory=dict)
     complete: bool = True
     _buckets: dict[tuple, list[bytes]] = field(default_factory=dict, repr=False)
+    _face_tuples: dict[tuple, tuple] = field(default_factory=dict, repr=False)
 
     def add(
         self, m: PlanarMap, cls: Optional[FamilyClass] = None, parent: Optional[bytes] = None
@@ -114,8 +114,11 @@ class GeneratedSet:
                 test missed an isomorph.
         """
         refl = self.include_reflection
-        bucket = self._buckets.setdefault(bucket_key(m), [])
-        if any(m.reads_code(code, refl) for code in bucket):
+        key = bucket_key(m)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[tuple(self._face_tuples.setdefault(t, t) for t in key)] = []
+        elif any(m.reads_code(code, refl) for code in bucket):
             return None
         code = m.canonical_code(refl)
         if code in self.entries:
@@ -360,12 +363,11 @@ def _cmd_gen(args) -> int:
     if not gen.complete:
         print("error: enumeration was interrupted; no output written", file=sys.stderr)
         return 1
-    maps = gen.sorted_fullerenes()
     # open --traces before --out is written, and take it back if --out cannot
     # be written, so a run that cannot write both leaves neither
     fh = open(args.traces, "w", encoding="utf-8") if args.traces else None
     try:
-        write_planar_code(args.out, maps)
+        codes = _write_fullerenes(args.out, gen)
     except BaseException:
         if fh is not None:
             fh.close()
@@ -373,20 +375,27 @@ def _cmd_gen(args) -> int:
         raise
     if fh is not None:
         with fh:
-            for code in sorted(c for c, e in gen.entries.items() if e.cls.is_fullerene):
+            for code in codes:
                 fh.write(gen.trace_of(code, job.regime).to_jsonl())
                 fh.write("\n")
     counts = gen.fullerene_counts()
-    print(f"wrote {len(maps)} fullerenes to {args.out}; per-p6 counts {counts}")
+    print(f"wrote {len(codes)} fullerenes to {args.out}; per-p6 counts {counts}")
     return 0
 
 
 def _cmd_oracle(args) -> int:
     gen = oracle_generate(args.max_hexagons, include_reflection=not args.no_reflection)
-    maps = gen.sorted_fullerenes()
-    write_planar_code(args.out, maps)
-    print(f"wrote {len(maps)} fullerenes to {args.out}; per-p6 counts {gen.fullerene_counts()}")
+    codes = _write_fullerenes(args.out, gen)
+    print(f"wrote {len(codes)} fullerenes to {args.out}; per-p6 counts {gen.fullerene_counts()}")
     return 0
+
+
+def _write_fullerenes(path, gen: GeneratedSet) -> list[bytes]:
+    """Write ``gen``'s fullerenes' codes, sorted, to ``path`` as planar_code; return them."""
+    codes = sorted(c for c, e in gen.entries.items() if e.cls.is_fullerene)
+    with open(path, "wb") as fh:
+        fh.write(planar_code_from_codes(codes))
+    return codes
 
 
 def _load_set(path) -> tuple[GeneratedSet, int]:

@@ -58,7 +58,7 @@ class PlanarMap:
 
     def __init__(self, twin: Sequence[int], _validated: bool = False):
         self._twin = tuple(twin)
-        self._next = _standard_next(len(self._twin))
+        self._next = _standard_rotation(len(self._twin))
         if not _validated:
             self._validate()
 
@@ -185,10 +185,10 @@ class PlanarMap:
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Face orbits as tuples of darts, each traced by ``face_next``."""
-        twin, nxt = self._twin, self._next
-        seen = [False] * len(twin)
+        face_next = list(map(self._next.__getitem__, self._twin))
+        seen = [False] * len(face_next)
         out = []
-        for d0 in range(len(twin)):
+        for d0 in range(len(face_next)):
             if seen[d0]:
                 continue
             cyc = []
@@ -196,7 +196,7 @@ class PlanarMap:
             while not seen[d]:
                 seen[d] = True
                 cyc.append(d)
-                d = nxt[twin[d]]
+                d = face_next[d]
             out.append(tuple(cyc))
         return tuple(out)
 
@@ -252,53 +252,41 @@ class PlanarMap:
     # canonical codes
     # ------------------------------------------------------------------
 
-    @cached_property
-    def _next_inverse(self) -> tuple[int, ...]:
-        return tuple(3 * (d // 3) + (d + 2) % 3 for d in range(self.num_darts))
-
     def _orientations(self, include_reflection: bool):
         """``(sigma, reflected)`` per rotation a walk may follow."""
         if include_reflection:
-            return ((self._next, False), (self._next_inverse, True))
+            return ((self._next, False), (_standard_rotation(self.num_darts, 2), True))
         return ((self._next, False),)
 
     def _code_symbols(self, sigma, d0: int, best, exact: bool = False):
         """First-visit labeling walk from dart d0; None if worse than best,
-        or with ``exact``, as soon as a symbol differs from best's."""
+        or with ``exact``, as soon as a symbol differs from best's.  A walk
+        records nothing while it reads best, and best's symbols if it reads all."""
         twin = self._twin
-        nv = self.num_vertices
-        label = [0] * nv
+        label = [0] * self.num_vertices
         label[d0 // 3] = 1
         refs = [d0]
-        out = []
         nlab = 1
-        improving = best is None
+        out = [] if best is None else None
         bi = 3  # best[0:3] is the vertex count and face-size prefix, already matched
-        i = 0
-        while i < len(refs):
-            d = refs[i]
-            i += 1
-            for _ in range(3):
-                td = twin[d]
-                u = td // 3
-                lab = label[u]
-                if lab == 0:
+        for d in refs:
+            for x in (d, sigma[d], sigma[sigma[d]]):
+                td = twin[x]
+                lab = label[td // 3]
+                if not lab:
                     nlab += 1
-                    label[u] = nlab
+                    lab = label[td // 3] = nlab
                     refs.append(td)
-                    lab = nlab
-                out.append(lab)
-                if not improving:
-                    b = best[bi]
-                    bi += 1
-                    if lab > b:
+                if out is not None:
+                    out.append(lab)
+                elif lab != best[bi]:
+                    if exact or lab > best[bi]:
                         return None
-                    if lab < b:
-                        if exact:
-                            return None
-                        improving = True
-                d = sigma[d]
-        return out
+                    out = list(best[3:bi])
+                    out.append(lab)
+                else:
+                    bi += 1
+        return best[3:] if out is None else out
 
     def _relabeling(self, d0: int, sigma) -> list[int]:
         """``dart_map[old] = new`` of the labeling walk from ``d0`` in ``sigma``.
@@ -311,17 +299,13 @@ class PlanarMap:
         seen[d0 // 3] = True
         refs = [d0]
         dart_map = [0] * self.num_darts
-        i = 0
-        while i < len(refs):
-            d = refs[i]
-            for j in range(3):
-                dart_map[d] = 3 * i + j
-                td = twin[d]
+        for i, d in enumerate(refs):
+            for j, x in enumerate((d, sigma[d], sigma[sigma[d]])):
+                dart_map[x] = 3 * i + j
+                td = twin[x]
                 if not seen[td // 3]:
                     seen[td // 3] = True
                     refs.append(td)
-                d = sigma[d]
-            i += 1
         return dart_map
 
     def _canonical_search(self, include_reflection: bool):
@@ -413,22 +397,25 @@ class PlanarMap:
         """Whether some labeling walk of this map reads ``code`` in full.
 
         A code's symbols are the vertex count, the face-size prefix, then
-        the walk.  Only starts with that prefix are walked, each in exact
-        mode, and the first walk that reads every symbol answers True; with
-        ``include_reflection`` the mirror rotation is tried as well.  A walk
-        encodes the whole map, so True proves this map isomorphic to the
-        code's map, but not that the code is minimal: nothing is cached.
+        the walk.  Only starts with that prefix and the code's corner sizes
+        (``_corner_sizes``) are walked, each in exact mode, and the first walk
+        that reads every symbol answers True; with ``include_reflection`` the
+        mirror rotation is tried as well.  A walk encodes the whole map, so
+        True proves this map isomorphic to the code's map, but not that the
+        code is minimal: nothing is cached.
         """
         symbols = _decode_symbols(code)
         if len(symbols) != 3 + self.num_darts or symbols[0] != self.num_vertices:
             return False
         fo, fs, twin = self.face_of, self.face_sizes, self._twin
+        corners, prv = _corner_sizes(symbols), _standard_rotation(self.num_darts, 2)
         for sigma, refl in self._orientations(include_reflection):
             left, right = (symbols[2], symbols[1]) if refl else (symbols[1], symbols[2])
             for d in range(self.num_darts):
                 if (
                     fs[fo[d]] == left
                     and fs[fo[twin[d]]] == right
+                    and (fs[fo[prv[d]]], fs[fo[prv[twin[d]]]]) == corners
                     and self._code_symbols(sigma, d, symbols, exact=True) is not None
                 ):
                     return True
@@ -472,9 +459,31 @@ class PlanarMap:
 
 
 @lru_cache(maxsize=None)
-def _standard_next(num_darts: int) -> tuple[int, ...]:
-    """The rotation ``3v + j -> 3v + (j+1) % 3`` every map uses."""
-    return tuple(3 * (d // 3) + (d + 1) % 3 for d in range(num_darts))
+def _standard_rotation(num_darts: int, step: int = 1) -> tuple[int, ...]:
+    """``3v + j -> 3v + (j+step) % 3``: the rotation every map uses, or with step 2 its inverse."""
+    return tuple(3 * (d // 3) + (d + step) % 3 for d in range(num_darts))
+
+
+def _corner_sizes(symbols: Sequence[int]) -> tuple[int, int] | None:
+    """Sizes of the faces of ``prev(d)`` and ``prev(twin(d))`` at a code's start d, the same
+    in either rotation, traced in the code's table (vertex v's neighbours are its walk
+    symbols minus one; d is dart 0); None, which no start matches, if that is no map."""
+    nv = symbols[0]
+
+    def face_next(d):  # next(twin(d)) in the table; None if the edge is listed at one end only
+        u = symbols[3 + d] - 1
+        row = symbols[3 + 3 * u:6 + 3 * u] if 0 <= u < nv else ()
+        return 3 * u + (row.index(d // 3 + 1) + 1) % 3 if d // 3 + 1 in row else None
+
+    def face_size(d0):
+        d, size = face_next(d0), 1
+        while d is not None and d != d0 and size < 3 * nv:
+            d, size = face_next(d), size + 1
+        return size if d == d0 else None
+
+    t = face_next(0)  # so prev(twin(0)) is next(t)
+    a, b = face_size(2), t is not None and face_size(t - t % 3 + (t + 1) % 3)
+    return (a, b) if a and b else None
 
 
 def _encode_symbols(symbols: list[int]) -> bytes:
@@ -622,6 +631,17 @@ def encode_planar_code(maps: Iterable[PlanarMap], with_header: bool = True) -> b
             for u in m.neighbors(v):
                 out.append(u + 1)
             out.append(0)
+    return bytes(out)
+
+
+def planar_code_from_codes(codes: Iterable[bytes]) -> bytes:
+    """``encode_planar_code`` of the maps canonical codes fix: a code's walk symbols are its
+    map's neighbour labels plus one, so a record is nv, then each vertex's symbols and a 0."""
+    out = bytearray(PLANAR_CODE_HEADER)
+    for syms in map(_decode_symbols, codes):
+        if syms[0] > 255:
+            raise VertexOverflowError(f"{syms[0]} vertices exceed the 1-byte planar_code limit")
+        out += bytes(syms[:1]) + b"".join(bytes(syms[i:i + 3]) + b"\0" for i in range(3, len(syms), 3))
     return bytes(out)
 
 

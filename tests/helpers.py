@@ -289,3 +289,44 @@ def bridged_cubic() -> PlanarMap:
         (8, 6, 9),
     ]
     return map_from_faces(faces)
+
+
+def code_symbols_referee(m: PlanarMap, sigma, d0: int, best, exact: bool = False):
+    """The first-visit labeling walk of ``PlanarMap._code_symbols`` in its
+    plain form, which records every symbol it reads: the walk symbols from
+    dart ``d0`` in rotation ``sigma``, or None once a symbol exceeds best's
+    (with ``exact``, once it differs).  ``best[0:3]`` is the prefix the
+    caller has matched."""
+    twin = [m.twin(d) for d in range(m.num_darts)]
+    label = [0] * m.num_vertices
+    label[d0 // 3] = 1
+    refs = [d0]
+    out = []
+    nlab = 1
+    improving = best is None
+    bi = 3
+    i = 0
+    while i < len(refs):
+        d = refs[i]
+        i += 1
+        for _ in range(3):
+            td = twin[d]
+            u = td // 3
+            lab = label[u]
+            if lab == 0:
+                nlab += 1
+                label[u] = nlab
+                refs.append(td)
+                lab = nlab
+            out.append(lab)
+            if not improving:
+                b = best[bi]
+                bi += 1
+                if lab > b:
+                    return None
+                if lab < b:
+                    if exact:
+                        return None
+                    improving = True
+            d = sigma[d]
+    return out

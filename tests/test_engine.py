@@ -25,6 +25,7 @@ from fforge.engine import (
     EnumerationJob,
     GeneratedSet,
     _load_set,
+    bucket_key,
     cross_check,
     enumerate_closure,
     main,
@@ -267,7 +268,8 @@ def _reachable_maps(root) -> int:
 
 class TestStore:
     """A generated set stores each class as its canonical code only: no map,
-    and the buckets hold the stored code bytes themselves."""
+    the buckets hold the stored code bytes themselves, and the bucket keys
+    share their per-face tuples."""
 
     @staticmethod
     def _check(gen):
@@ -276,6 +278,10 @@ class TestStore:
         bucketed = [c for codes in gen._buckets.values() for c in codes]
         assert all(type(c) is bytes for c in bucketed)
         assert sorted(bucketed) == sorted(gen.entries)
+        assert sorted(gen._buckets) == sorted({bucket_key(gen.entries[c].map) for c in bucketed})
+        face_tuples = {id(t) for key in gen._buckets for t in key}
+        assert face_tuples == {id(t) for t in gen._face_tuples.values()}
+        assert len(face_tuples) < sum(len(key) for key in gen._buckets)
 
     @pytest.mark.parametrize("include_reflection", [True, False])
     @pytest.mark.parametrize("regime", list(Regime))

@@ -20,6 +20,9 @@ from fforge.planar_map import (
     NonSphericalError,
     TruncatedRecordError,
     VertexOverflowError,
+    _corner_sizes,
+    _decode_symbols,
+    planar_code_from_codes,
 )
 
 from fforge.engine import EnumerationJob, bucket_key, enumerate_closure
@@ -197,6 +200,16 @@ class TestPlanarCode:
         big = build_D5k(24)  # 260 vertices
         with pytest.raises(VertexOverflowError):
             encode_planar_code([big])
+        with pytest.raises(VertexOverflowError):
+            planar_code_from_codes([big.canonical_code()])
+
+    def test_codes_are_written_as_their_maps_are(self, gen_seven, gen_a, gen_ab, oracle5):
+        """The planar_code written straight from canonical codes is the
+        encoding of the maps those codes fix, byte for byte."""
+        for gen in (gen_seven, gen_a, gen_ab, oracle5):
+            codes = sorted(gen.entries)
+            assert planar_code_from_codes(codes) == encode_planar_code([gen.entries[c].map for c in codes])
+        assert planar_code_from_codes([]) == encode_planar_code([])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 7), st.integers(2, 4))
@@ -333,6 +346,110 @@ class TestWalkTest:
             assert e.map.reads_code(code)
             assert not e.map.reads_code(bytes([code[0] + 1]) + code[1:])
 
+    def test_walks_per_closure_are_bounded(self, monkeypatch):
+        """The corner filter keeps the walk test to few walks per duplicate:
+        the seven closure at p6 <= 6 runs 1,143 walk-test walks for its 409
+        duplicates (4,302 with the face-size prefix as the only filter)."""
+        walks = 0
+        real = PlanarMap._code_symbols
+
+        def spy(self, sigma, d0, best, exact=False):
+            nonlocal walks
+            walks += exact
+            return real(self, sigma, d0, best, exact)
+
+        monkeypatch.setattr(PlanarMap, "_code_symbols", spy)
+        enumerate_closure(EnumerationJob(Regime.SEVEN, 6))
+        assert 0 < walks <= 1300
+
+
+def _fixture_maps(gen_seven, gen_a, gen_ab):
+    """The closure fixture maps, one per class."""
+    maps = {}
+    for gen in (gen_seven, gen_a, gen_ab):
+        for code, e in gen.entries.items():
+            maps.setdefault(code, e.map)
+    return list(maps.values())
+
+
+def _rotations(m: PlanarMap):
+    """``(sigma, reflected)`` for the rotation and its inverse."""
+    return (
+        (tuple(m.next(d) for d in range(m.num_darts)), False),
+        (tuple(m.prev(d) for d in range(m.num_darts)), True),
+    )
+
+
+class TestWalkKernel:
+    """The walk loop and the walk test's start filter, against the plain
+    walk in ``helpers``."""
+
+    def test_walk_equals_the_plain_walk(self, gen_seven, gen_a, gen_ab):
+        """From every start in both rotations, exact and not, the walk
+        returns what the plain walk returns, against the map's own code
+        (as bytes and as a symbol list) and another code with as many
+        vertices, and from scratch."""
+        maps = _fixture_maps(gen_seven, gen_a, gen_ab)
+        codes = [m.canonical_code() for m in maps]
+        for i, m in enumerate(maps):
+            others = [c for c in codes if c[0] == codes[i][0] and c != codes[i]]
+            bests = [codes[i], list(codes[i])] + others[:1]
+            for sigma, _ in _rotations(m):
+                for d in range(m.num_darts):
+                    assert m._code_symbols(sigma, d, None) == helpers.code_symbols_referee(m, sigma, d, None)
+                    for best in bests:
+                        for exact in (False, True):
+                            got = m._code_symbols(sigma, d, best, exact)
+                            want = helpers.code_symbols_referee(m, sigma, d, best, exact)
+                            assert (got if got is None else list(got)) == want
+
+    def test_a_code_has_the_corner_sizes_of_its_start(self, gen_seven, gen_a, gen_ab):
+        """The corner sizes of the code a walk reads from any start, in
+        either rotation, are the sizes of the faces of prev(d) and
+        prev(twin(d)) at that start."""
+        for m in _fixture_maps(gen_seven, gen_a, gen_ab):
+            fs, fo = m.face_sizes, m.face_of
+            for sigma, refl in _rotations(m):
+                for d in range(m.num_darts):
+                    left, right = fs[fo[d]], fs[fo[m.twin(d)]]
+                    if refl:
+                        left, right = right, left
+                    read = [m.num_vertices, left, right] + helpers.code_symbols_referee(m, sigma, d, None)
+                    assert _corner_sizes(read) == (fs[fo[m.prev(d)]], fs[fo[m.prev(m.twin(d))]])
+
+    def test_corner_sizes_of_the_canonical_code(self, gen_seven, gen_a, gen_ab):
+        """The corner sizes read from a canonical code are those at dart 0
+        of the canonical form, for each fixture map and its relabeled and
+        mirrored copies, with both flags, and for a 2-byte code."""
+        maps = _fixture_maps(gen_seven, gen_a, gen_ab)
+        for i, base in enumerate(maps):
+            for m in (base, relabeled(base, i), helpers.mirrored(base)):
+                for refl in (True, False):
+                    copy = m.canonical_form(refl)[0]
+                    want = tuple(copy.face_sizes[f] for f in copy.edge_corner_faces(0))
+                    assert _corner_sizes(_decode_symbols(m.canonical_code(refl))) == want
+        m = build_D5k(25)
+        for refl in (True, False):
+            code = m.canonical_code(refl)
+            assert code[0] == 0  # the 2-byte variant
+            copy = m.canonical_form(refl)[0]
+            assert _corner_sizes(_decode_symbols(code)) == tuple(copy.face_sizes[f] for f in copy.edge_corner_faces(0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_corrupted_code_is_read_by_no_walk(self, gen_seven, data):
+        """A code with one symbol changed is no walk's code: a changed prefix
+        no longer matches the walk's start, and a changed walk symbol makes
+        one vertex list a neighbour that does not list it back.  So the walk
+        test answers False, and raises nothing, whatever the new symbol."""
+        e = data.draw(st.sampled_from(list(gen_seven.entries.values())))
+        refl = data.draw(st.booleans())
+        code = e.code
+        pos = data.draw(st.integers(0, len(code) - 1))
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != code[pos]))
+        bad = code[:pos] + bytes([value]) + code[pos + 1:]
+        for m in (e.map, relabeled(e.map, pos)):
+            assert m.reads_code(bad, refl) is False
 
 
 def _search_maps(gen_seven, gen_a, gen_ab):
