@@ -422,26 +422,23 @@ class TestWalkKernel:
         of the canonical form, for each fixture map and its relabeled and
         mirrored copies, with both flags, and for a 2-byte code."""
         maps = _fixture_maps(gen_seven, gen_a, gen_ab)
-        for i, base in enumerate(maps):
+        big = build_D5k(25)
+        assert big.canonical_code()[0] == 0  # the 2-byte variant
+        for i, base in enumerate(maps + [big]):
             for m in (base, relabeled(base, i), helpers.mirrored(base)):
                 for refl in (True, False):
                     copy = m.canonical_form(refl)[0]
                     want = tuple(copy.face_sizes[f] for f in copy.edge_corner_faces(0))
                     assert _corner_sizes(_decode_symbols(m.canonical_code(refl))) == want
-        m = build_D5k(25)
-        for refl in (True, False):
-            code = m.canonical_code(refl)
-            assert code[0] == 0  # the 2-byte variant
-            copy = m.canonical_form(refl)[0]
-            assert _corner_sizes(_decode_symbols(code)) == tuple(copy.face_sizes[f] for f in copy.edge_corner_faces(0))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_a_corrupted_code_is_read_by_no_walk(self, gen_seven, data):
-        """A code with one symbol changed is no walk's code: a changed prefix
-        no longer matches the walk's start, and a changed walk symbol makes
-        one vertex list a neighbour that does not list it back.  So the walk
-        test answers False, and raises nothing, whatever the new symbol."""
+        """A code with one symbol changed is no walk's code: a changed vertex
+        count or prefix no longer matches the map or the walk's start, and a
+        changed walk symbol leaves the old neighbour listing a vertex that no
+        longer lists it.  So the walk test answers False, and raises nothing,
+        whatever the new symbol."""
         e = data.draw(st.sampled_from(list(gen_seven.entries.values())))
         refl = data.draw(st.booleans())
         code = e.code
