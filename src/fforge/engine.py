@@ -166,7 +166,9 @@ def enumerate_closure(job: EnumerationJob) -> GeneratedSet:
     that lead to them (every operation adds faces).  Deterministic for a
     fixed job: frontier items are expanded in sorted order and merged
     sequentially.  An interrupted run returns what it has with ``complete``
-    unset.
+    unset.  Each map that adds an entry is validated in full and checked
+    polytopal; a candidate that duplicates an entry reads that entry's code
+    in full, which proves it isomorphic to a valid map.
     """
     refl = job.include_reflection
     max_faces = 12 + job.max_p6
@@ -186,6 +188,8 @@ def enumerate_closure(job: EnumerationJob) -> GeneratedSet:
                     entry = out.add(raw, cls, parent_code)
                     if entry is None:
                         continue
+                    # the rewrites build their results unvalidated
+                    raw._validate()
                     canon = raw.canonical_form(refl)[0]
                     if not check_polytopal(canon):
                         raise MapError(f"enumeration produced a non-polytopal map ({kind.name})")

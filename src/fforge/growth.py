@@ -848,7 +848,12 @@ def reduce_to_dodecahedron(m: PlanarMap, regime: Regime) -> DerivationTrace:
     Each step is checked as it is found: its kind is in the regime, and
     ``_apply_step`` gives a map that reads the step's code, which is the
     code the canonical search gave the map reduced.  NoCaseAppliesError
-    names the step, counting from 0 at ``m``."""
+    names the step, counting from 0 at ``m``.
+
+    No rewrite here validates the map it builds: each predecessor is a
+    straightening of a valid map, which is valid by construction (see
+    ``transform``), and the walk test reads the code of a valid map in
+    full, which proves ``_apply_step``'s result isomorphic to that map."""
     cur = _canonicalize(m)
     steps: list[GrowthStep] = []
     guard = 4 * m.num_faces + 16

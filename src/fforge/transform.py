@@ -9,6 +9,20 @@ the two side faces flanking the run by one edge each.  Straightening is the
 edge deletion that undoes it: the edge's two endpoints are smoothed away and
 its two faces merge.
 
+Both rewrites trust their preconditions and build their result unvalidated;
+the closure engine validates each map it keeps.  A cut at a site that
+``_run_darts`` accepts is a simple cubic sphere map whenever its input is
+one: the new edge splits the site face, so V, E and F grow by 2, 3 and 1;
+M1 and M2 are new vertices, so it makes no loop; the run revisits no vertex
+and the flanking vertices lie outside it, so it makes no parallel edge; and
+connectivity is kept.  Its face-size deltas are the signature's whenever the
+site face and the faces across the two flanking edges are three distinct
+faces; only on a map that is not 3-connected can two of them coincide, and
+then the census of the result is recounted (``_check_truncation_deltas``).
+Straightening merges two distinct faces, so the deleted edge is no bridge and
+the result is connected with F - 1 faces; it fails only where a joined edge
+would be parallel to another, which is checked locally.
+
 Labeling contract: ``truncate`` keeps every dart id of its input and appends
 M1 and M2 as the last two vertices; ``straighten`` drops the edge's two
 endpoints and shifts every later vertex id down, so it gives back a
@@ -22,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .planar_map import MapError, PlanarMap, p_vector
+from .planar_map import MapError, NonCubicError, PlanarMap, p_vector
 
 
 class InvalidSiteError(MapError):
@@ -143,13 +157,17 @@ def truncate(m: PlanarMap, site: TruncationSite) -> TruncationResult:
     # to M1, to nxt), in counterclockwise order
     twin += (d_in, n + 4, w0_prev, d_out, n + 1, nxt_ws)
     twin[d_in], twin[w0_prev], twin[d_out], twin[nxt_ws] = n, n + 2, n + 3, n + 5
-    out = PlanarMap(twin)
+    out = PlanarMap(twin, _validated=True)
     new_face = out.face_of[n + 4]
-    _check_truncation_deltas(m, site, out, new_face)
+    # the signature gives the face-size deltas unless two of these faces
+    # coincide, which needs a map that is not 3-connected
+    if len({site.face, m.face_of[w0_prev], m.face_of[nxt_ws]}) < 3:
+        _check_truncation_deltas(m, site, out, new_face)
     return TruncationResult(out, EdgeRef(n + 1), new_face)
 
 
 def _check_truncation_deltas(m, site, out, new_face):
+    """MapError unless ``out`` has the counts and p-vector the site's signature gives."""
     s = site.s
     if out.num_vertices != m.num_vertices + 2 or out.num_edges != m.num_edges + 3:
         raise MapError("truncation changed vertex/edge counts incorrectly")
@@ -167,17 +185,16 @@ def _check_truncation_deltas(m, site, out, new_face):
 
 
 def three_belt_through(m: PlanarMap, fp: int, fq: int) -> Optional[int]:
-    """A face closing a 3-belt with fp and fq, or None.
+    """The least face closing a 3-belt with fp and fq, or None.
 
     The three faces must be pairwise incident with empty common intersection.
+    In a cubic map two faces that share a vertex share an edge there, so only
+    the faces across an edge of both fp and fq are tried.
     """
-    sets = m.face_vertex_sets
-    inter_pq = sets[fp] & sets[fq]
-    for fk in range(m.num_faces):
-        if fk in (fp, fq):
-            continue
-        sk = sets[fk]
-        if sk & sets[fp] and sk & sets[fq] and not (sk & inter_pq):
+    faces = m.faces
+    inter_pq = {d // 3 for d in faces[fp]} & {d // 3 for d in faces[fq]}
+    for fk in sorted(set(m.face_neighbors(fp)) & set(m.face_neighbors(fq)) - {fp, fq}):
+        if inter_pq.isdisjoint([d // 3 for d in faces[fk]]):
             return fk
     return None
 
@@ -188,7 +205,9 @@ def straighten(m: PlanarMap, edge: EdgeRef) -> StraighteningResult:
     Each endpoint's two other edges fuse into one.  The inverse site cuts the
     run of the old ``fq = face_of[twin(d)]`` off the merged face again.
     Undefined on the simplex and whenever the edge's faces belong to a
-    3-belt; the offending third face is reported in that case.
+    3-belt; the offending third face is reported in that case.  NonCubicError
+    when a joined edge would be parallel to an edge of the map or to the
+    other joined edge.
     """
     if m.num_vertices == 4:
         raise SimplexInputError("no straightening is defined on the simplex")
@@ -201,16 +220,21 @@ def straighten(m: PlanarMap, edge: EdgeRef) -> StraighteningResult:
     if blocker is not None:
         raise ThreeBeltObstructionError(blocker)
     twin = list(m._twin)
+    joined = []
     for e in (d, td):
         # join the far ends of the endpoint's two other edges
         p, q = twin[m.next(e)], twin[m.next(m.next(e))]
         twin[p], twin[q] = q, p
+        joined.append((p // 3, q // 3))
+    (a1, b1), (a2, b2) = joined
+    if b1 in m.neighbors(a1) or b2 in m.neighbors(a2) or {a1, b1} == {a2, b2}:
+        raise NonCubicError("straightening would make a parallel edge")
     lo, hi = sorted((d // 3, td // 3))
 
     def relabel(x: int) -> int:
         return x - 3 * ((x // 3 > lo) + (x // 3 > hi))
 
-    out = PlanarMap([relabel(twin[x]) for x in range(m.num_darts) if x // 3 not in (lo, hi)])
+    out = PlanarMap([relabel(twin[x]) for x in range(m.num_darts) if x // 3 not in (lo, hi)], _validated=True)
     # the inverse run starts past the deleted edge's two ends along fq
     start = relabel(m.face_next(m.face_next(td)))
     site = TruncationSite(out.face_of[start], start, m.face_sizes[fq] - 3)

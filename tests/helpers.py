@@ -120,6 +120,20 @@ def triple_cap_sites(m: PlanarMap) -> set:
     return out
 
 
+def three_belt_through_scan(m: PlanarMap, fp: int, fq: int):
+    """The least face that meets fp and fq but not their common vertices,
+    or None, by a scan of every face's vertex set."""
+    sets = m.face_vertex_sets
+    inter_pq = sets[fp] & sets[fq]
+    for fk in range(m.num_faces):
+        if fk in (fp, fq):
+            continue
+        sk = sets[fk]
+        if sk & sets[fp] and sk & sets[fq] and not (sk & inter_pq):
+            return fk
+    return None
+
+
 def pentagon_pair_hex_corners(m: PlanarMap) -> set:
     """Face sets of two adjacent pentagons whose shared edge meets hexagons."""
     out = set()

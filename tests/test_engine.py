@@ -32,7 +32,9 @@ from fforge.engine import (
     oracle_generate,
     _windup,
 )
-from fforge.planar_map import MapError
+from fforge import growth
+from fforge.planar_map import DisconnectedError, MapError
+from fforge.transform import TruncationResult
 
 import helpers
 from helpers import relabeled
@@ -250,6 +252,26 @@ class TestEnumerate:
         monkeypatch.setattr(PlanarMap, "reads_code", lambda self, code, include_reflection=True: False)
         with pytest.raises(MapError, match="already stored"):
             gen.add(relabeled(entry.map, 4))
+
+    def test_every_entry_is_validated(self, monkeypatch):
+        """The closure rejects a successor that is no valid map.  The broken
+        truncation adds a second component, K3,3 embedded in the torus with
+        three hexagons, so the p-vector still sums to a sphere's and the map
+        is classified into the regime."""
+        real = growth.truncate
+
+        def broken(m, site):
+            res = real(m, site)
+            n = res.map.num_darts
+            # vertex i < 3 lists 3, 4, 5 and vertex 3 + j lists 0, 1, 2
+            torus = [n + 3 * (3 + j) + i for i in range(3) for j in range(3)]
+            torus += [n + 3 * i + j for j in range(3) for i in range(3)]
+            broken = PlanarMap(res.map._twin + tuple(torus), _validated=True)
+            return TruncationResult(broken, res.new_edge, res.new_face)
+
+        monkeypatch.setattr(growth, "truncate", broken)
+        with pytest.raises(DisconnectedError):
+            enumerate_closure(EnumerationJob(Regime.SEVEN, 1))
 
 
 def _reachable_maps(root) -> int:

@@ -15,12 +15,15 @@ from fforge import (
     straighten,
     truncate,
 )
-from fforge.planar_map import MapError
+from fforge.planar_map import MapError, NonCubicError, check_polytopal
 from fforge.transform import (
     InvalidSiteError,
     SimplexInputError,
     ThreeBeltObstructionError,
+    _check_truncation_deltas,
+    _run_darts,
     side_face_sizes,
+    three_belt_through,
 )
 
 import helpers
@@ -251,3 +254,95 @@ def test_truncate_outcomes_are_pinned(rewrite_maps):
     # the sample reaches both the site checks and the face-size delta check
     assert failures == {"InvalidSiteError", "MapError"}
     assert _outcome_digest(records) == PINNED_TRUNCATE
+
+
+def _accepted_sites(m: PlanarMap):
+    """Every site of ``m`` that ``_run_darts`` accepts, with its flanking darts."""
+    for site in all_sites(m):
+        try:
+            yield site, _run_darts(m, site)
+        except InvalidSiteError:
+            pass
+
+
+def test_every_accepted_cut_is_a_valid_map(rewrite_maps):
+    """A cut at any site ``_run_darts`` accepts validates in full.  Where the
+    site face and the faces across its flanking edges are three distinct
+    faces, the census check passes too; only where two coincide, which needs
+    a map that is not 3-connected, does truncate run that check itself, and
+    there it may refuse."""
+    refused = 0
+    for m in rewrite_maps:
+        for site, (d_in, d_out) in _accepted_sites(m):
+            distinct = len({site.face, m.face_of[m.twin(d_in)], m.face_of[m.twin(d_out)]}) == 3
+            try:
+                res = truncate(m, site)
+            except MapError:
+                assert not distinct and not check_polytopal(m)
+                refused += 1
+                continue
+            assert PlanarMap(res.map._twin) == res.map
+            if distinct:
+                _check_truncation_deltas(m, site, res.map, res.new_face)
+    assert refused
+
+
+def _smoothed_rotation(m: PlanarMap, d: int) -> list[list[int]]:
+    """Rotation lists of ``m`` with dart ``d``'s edge deleted and its two
+    endpoints smoothed away, later vertices numbered down."""
+    u, v = m.source(d), m.target(d)
+    join = {}  # (w, x): the vertex w's edge to the endpoint x now leads to
+    for x in (u, v):
+        a, b = [y for y in m.neighbors(x) if y not in (u, v)]
+        join[a, x], join[b, x] = b, a
+    keep = [w for w in range(m.num_vertices) if w not in (u, v)]
+    new = {w: i for i, w in enumerate(keep)}
+    return [[new[join.get((w, y), y)] for y in m.neighbors(w)] for w in keep]
+
+
+def test_straighten_refuses_exactly_the_invalid_results(rewrite_maps):
+    """Past its simplex, bridge and 3-belt checks, straighten raises
+    NonCubicError exactly where the smoothed rotation lists are no valid
+    map, and otherwise gives the map they build."""
+    refused = 0
+    for m in rewrite_maps:
+        for d in range(m.num_darts):
+            try:
+                got = straighten(m, EdgeRef(d)).map
+            except NonCubicError:
+                got = None
+            except MapError:
+                continue
+            rot = _smoothed_rotation(m, d)
+            if got is None:
+                with pytest.raises(MapError):
+                    PlanarMap.from_rotation(rot)
+                refused += 1
+            else:
+                assert PlanarMap.from_rotation(rot) == got
+    assert refused
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_rewrite_chains_stay_valid(rewrite_maps, data):
+    """Up to six truncations and straightenings in a row, each result
+    validated in full; a rewrite that refuses leaves the map as it was."""
+    cur = data.draw(st.sampled_from(rewrite_maps))
+    for _ in range(data.draw(st.integers(1, 6))):
+        try:
+            if data.draw(st.booleans()):
+                cur = truncate(cur, data.draw(st.sampled_from(all_sites(cur)))).map
+            else:
+                cur = straighten(cur, EdgeRef(data.draw(st.integers(0, cur.num_darts - 1)))).map
+        except MapError:
+            continue
+        assert PlanarMap(cur._twin) == cur
+
+
+def test_three_belt_through_matches_a_full_scan(rewrite_maps):
+    for m in rewrite_maps:
+        for copy in (m, helpers.relabeled(m, 7), helpers.mirrored(m)):
+            for d in range(copy.num_darts):
+                fp, fq = copy.face_of[d], copy.face_of[copy.twin(d)]
+                assert three_belt_through(copy, fp, fq) == helpers.three_belt_through_scan(copy, fp, fq)
