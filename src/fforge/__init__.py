@@ -23,7 +23,6 @@ from .structure import (
     Belt,
     FamilyClass,
     Fragment,
-    FragmentPattern,
     check_131313,
     classify,
     classify_shape,

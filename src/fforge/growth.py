@@ -702,9 +702,10 @@ def _undo_first(m: PlanarMap, cls: FamilyClass, code: bytes, regime: Regime):
 
 
 def _p1_seam(m: PlanarMap) -> Optional[int]:
-    """The smaller dart of the seam of the P1 embedding with the least face
-    set, or None: an edge with a pentagon on each side and a hexagon at each
-    end, four distinct faces.  ``find_fragments`` anchors the P1 there."""
+    """The smaller dart of the seam of the P1 patch with the least face set,
+    or None: an edge with a pentagon on each side and a hexagon at each end,
+    four distinct faces.  This is the dart that ``find_fragments(m, P1)``
+    would anchor, found by one scan of the edges."""
     fs, fo = m.face_sizes, m.face_of
     best = None
     for d in m.edges:
@@ -719,8 +720,9 @@ def _p1_seam(m: PlanarMap) -> Optional[int]:
 
 def _reduce_adjacent_pentagons(m: PlanarMap, code: bytes):
     """Cap/patch dispatch for a fullerene with adjacent pentagons: peel a
-    nanotube layer, or undo A4 at a P1 patch or A3 at a P2 patch, whose
-    chain search starts at the patch's pentagon-pentagon edge."""
+    nanotube layer, or undo A4 at a P1 patch or A3 at a P2 patch.  The patch
+    with the least face set wins, the first ``find_fragments`` gives among
+    ties, and the chain search starts at its edge between faces 0 and 1."""
     for fam, k in recognize_nanotube(m):  # k > 0: reduce_once has refused C20
         op, builder, _ = _CAPS[fam]
         return _canonicalize(builder(k - 1)), GrowthStep(op, ("cap", fam, k - 1), code)
@@ -728,11 +730,11 @@ def _reduce_adjacent_pentagons(m: PlanarMap, code: bytes):
     if seam is not None:
         patch, kind, first = Fragment.P1, GrowthOpKind.A4, [seam]
     else:
-        embs = find_fragments(m, Fragment.P2)
-        if not embs:
+        patches = find_fragments(m, Fragment.P2)
+        if not patches:
             raise NoCaseAppliesError("adjacent pentagons but no cap or patch embeds", m)
-        emb = min(embs, key=lambda e: sorted(e.faces))
-        first = [d for d in m.faces[emb.face(0)] if m.face_of[m.twin(d)] == emb.face(1)]
+        faces = min(patches, key=sorted)
+        first = [d for d in m.faces[faces[0]] if m.face_of[m.twin(d)] == faces[1]]
         patch, kind = Fragment.P2, GrowthOpKind.A3
     got = _sequence_search(m, KIND_CHAINS[kind], _SOURCE_CLASSES[kind], first)
     if got is None:

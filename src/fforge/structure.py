@@ -1,18 +1,16 @@
-"""Belts, loops, fragment recognition and family classification.
+"""Belts, loops, the P1/P2 patches and family classification.
 
 A k-belt is a cyclic sequence of k pairwise distinct faces whose consecutive
 members intersect, whose non-consecutive members are disjoint, and whose total
-intersection is empty.  Fragments are small face-labeled patches matched into
-a map by rigid propagation from a single dart anchor; the matcher also flags
-whether the fragment boundary is a simple edge-cycle (a patch).
+intersection is empty.  The P1 and P2 patches, where the reduction undoes A4
+and A3, are found by placing their few faces directly from each start dart.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .planar_map import MapError, PlanarMap, p_vector
 
@@ -129,225 +127,51 @@ def five_belt_census(m: PlanarMap) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# fragment patterns and matching
+# the P1 and P2 patches
 # ----------------------------------------------------------------------
 
 
 class Fragment(Enum):
-    C1 = "C1"
-    C2 = "C2"
+    """The reduction's patches.  P1: two edge-sharing pentagons with a
+    hexagon at each end of their edge.  P2: three pentagons at a vertex, a
+    hexagon past one shared edge and one across the far edge of the third."""
+
     P1 = "P1"
     P2 = "P2"
 
 
-@dataclass(frozen=True)
-class FragmentPattern:
-    """Face-labeled template: sizes per face and slot-to-slot gluings.
+_PATCH_SIZES = {Fragment.P1: (5, 5, 6, 6), Fragment.P2: (5, 5, 5, 6, 6)}
 
-    Slot ``j`` of template face ``i`` is the j-th dart of its boundary walk;
-    a gluing ((i, a), (j, b)) identifies slot a of face i with slot b of face
-    j across a shared edge.  Unglued slots form the template boundary.
+
+def find_fragments(m: PlanarMap, pattern: Fragment) -> list[tuple[int, ...]]:
+    """Every placement of a P1 or P2 patch as its faces in template order,
+    one per face set.
+
+    Face 0 is the face of the start dart ``d0``; faces 1, 2 and 3 lie across
+    slots 0, 1 and 4 of face 0's walk from ``d0``, and P2's face 4 across
+    slot 3 of face 2's walk from the twin of slot 1.  Placements come in
+    start-dart order, and the first of each face set is kept.  Both patches
+    are mirror-symmetric (the reflection swaps faces 0 and 1), so a mirror
+    image placement covers the face set of one found here.
     """
-
-    name: Fragment
-    sizes: tuple[int, ...]
-    gluings: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-    def glue_table(self) -> dict[tuple[int, int], tuple[int, int]]:
-        t = {}
-        for a, b in self.gluings:
-            t[a] = b
-            t[b] = a
-        return t
-
-
-def _c1_pattern() -> FragmentPattern:
-    # face 0: central pentagon; faces 1..5: ring pentagons
-    gl = []
-    for i in range(5):
-        ring = 1 + i
-        gl.append(((0, i), (ring, 0)))
-        gl.append(((ring, 1), (1 + (i - 1) % 5, 4)))
-    return FragmentPattern(Fragment.C1, (5,) * 6, tuple(gl))
-
-
-def _c2_pattern() -> FragmentPattern:
-    # faces 0-2: pentagons at a common vertex; faces 3-5: notch pentagons
-    gl = []
-    for i in range(3):
-        a, a_next = i, (i + 1) % 3
-        gl.append(((a, 1), (a_next, 0)))
-        gl.append(((a, 2), (3 + i, 0)))
-        gl.append(((a, 4), (3 + (i - 1) % 3, 1)))
-    return FragmentPattern(Fragment.C2, (5,) * 6, tuple(gl))
-
-
-def _p1_pattern() -> FragmentPattern:
-    # two edge-sharing pentagons with hexagons at both ends of the shared edge
-    return FragmentPattern(
-        Fragment.P1,
-        (5, 5, 6, 6),
-        (((0, 0), (1, 0)), ((0, 1), (2, 0)), ((1, 4), (2, 1)), ((1, 1), (3, 0)), ((0, 4), (3, 1))),
-    )
-
-
-def _p2_pattern() -> FragmentPattern:
-    # pentagons 0,1,2 at a common vertex; hexagon 3 at the far end of the
-    # 0|1 edge; hexagon 4 across the middle far edge of pentagon 2
-    return FragmentPattern(
-        Fragment.P2,
-        (5, 5, 5, 6, 6),
-        (
-            ((0, 0), (1, 1)),
-            ((0, 1), (2, 0)),
-            ((1, 0), (2, 1)),
-            ((0, 4), (3, 1)),
-            ((1, 2), (3, 0)),
-            ((2, 3), (4, 0)),
-        ),
-    )
-
-
-PATTERNS: dict[Fragment, FragmentPattern] = {
-    Fragment.C1: _c1_pattern(),
-    Fragment.C2: _c2_pattern(),
-    Fragment.P1: _p1_pattern(),
-    Fragment.P2: _p2_pattern(),
-}
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """A label- and rotation-respecting placement of a pattern in a map."""
-
-    pattern: Fragment
-    faces: tuple[int, ...]          # image of template face i
-    anchors: tuple[int, ...]        # image dart of slot 0 of template face i
-    mirrored: bool
-    is_patch: bool
-
-    def face(self, i: int) -> int:
-        return self.faces[i]
-
-
-def _walk_from(m: PlanarMap, d: int, size: int, mirrored: bool) -> Optional[list[int]]:
-    """Darts of the face walk through d, starting at d; None on size mismatch.
-
-    The mirrored walk traces the face to the right of ``d`` in the reflected
-    rotation system (``next`` inverted), which is how mirror embeddings see it.
-    """
-    f = m.face_of[d] if not mirrored else m.face_of[m.twin(d)]
-    if m.face_sizes[f] != size:
-        return None
-    out = [d]
-    for _ in range(size - 1):
-        last = out[-1]
-        out.append(m.face_next(last) if not mirrored else m.prev(m.twin(last)))
-    return out
-
-
-def _place(m: PlanarMap, pat: FragmentPattern, glue: dict, d0: int, mirrored: bool):
-    """Rigid placement from slot 0 of face 0 at ``d0``: the per-face walks
-    and face images, or None when the pattern does not fit there."""
-    nfaces = len(pat.sizes)
-    walks: list[Optional[list[int]]] = [None] * nfaces
-    walks[0] = _walk_from(m, d0, pat.sizes[0], mirrored)
-    if walks[0] is None:
-        return None
-    queue = [0]
-    done = {0}
-    while queue:
-        i = queue.pop()
-        for slot in range(pat.sizes[i]):
-            other = glue.get((i, slot))
-            if other is None:
-                continue
-            j, jslot = other
-            image = m.twin(walks[i][slot])
-            # align face j so its jslot lands on `image`
-            seed = image
-            if walks[j] is None:
-                w = _walk_from(m, seed, pat.sizes[j], mirrored)
-                if w is None:
-                    return None
-                # rotate so that position jslot equals seed
-                walks[j] = w[-jslot:] + w[:-jslot] if jslot else w
-                done.add(j)
-                queue.append(j)
-            else:
-                if walks[j][jslot] != image:
-                    return None
-    if len(done) != nfaces:
-        return None
-    face_ids = []
-    for i, w in enumerate(walks):
-        f = m.face_of[w[0]] if not mirrored else m.face_of[m.twin(w[0])]
-        face_ids.append(f)
-    if len(set(face_ids)) != nfaces:
-        return None
-    return walks, tuple(face_ids)
-
-
-def _embedding(m: PlanarMap, pat: FragmentPattern, glue: dict, walks, face_ids, mirrored: bool):
-    """The embedding of a placement; a patch needs its boundary slots to
-    walk a simple edge-cycle."""
-    boundary_darts = []
-    for i in range(len(pat.sizes)):
-        for slot in range(pat.sizes[i]):
-            if (i, slot) not in glue:
-                boundary_darts.append(walks[i][slot])
-    is_patch = _is_simple_edge_cycle(m, boundary_darts, mirrored)
-    return Embedding(pat.name, face_ids, tuple(w[0] for w in walks), mirrored, is_patch)
-
-
-def _is_simple_edge_cycle(m: PlanarMap, darts: list[int], mirrored: bool) -> bool:
-    ends = []
-    for d in darts:
-        ends.append((m.source(d), m.target(d)))
-    verts = [v for e in ends for v in e]
-    cnt = Counter(verts)
-    if any(c != 2 for c in cnt.values()):
-        return False
-    # connectivity of the boundary edge set
-    adj: dict[int, list[int]] = {}
-    for a, b in ends:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    start = ends[0][0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(cnt)
-
-
-def find_fragments(m: PlanarMap, pattern: FragmentPattern | Fragment) -> list[Embedding]:
-    """All embeddings of a pattern, mirror images included, deduplicated by
-    their face-image set.
-
-    Embeddings come in start-dart order, unmirrored first; the first
-    embedding of a face set is kept.
-    """
-    if isinstance(pattern, Fragment):
-        pattern = PATTERNS[pattern]
-    glue = pattern.glue_table()
+    sizes = _PATCH_SIZES[pattern]
+    fs, fo, twin, step = m.face_sizes, m.face_of, m._twin, m.face_next
     out = []
     seen: set[frozenset] = set()
-    for mirrored in (False, True):
-        for d0 in range(m.num_darts):
-            placed = _place(m, pattern, glue, d0, mirrored)
-            if placed is None:
-                continue
-            walks, face_ids = placed
-            key = frozenset(face_ids)
-            if key in seen:
-                continue
+    for d0 in range(m.num_darts):
+        if fs[fo[d0]] != 5:
+            continue
+        d1 = step(d0)
+        d4 = step(step(step(d1)))
+        faces = (fo[d0], fo[twin[d0]], fo[twin[d1]], fo[twin[d4]])
+        if len(sizes) == 5:
+            faces += (fo[twin[step(step(step(twin[d1])))]],)
+        if tuple(fs[f] for f in faces) != sizes or len(set(faces)) != len(faces):
+            continue
+        key = frozenset(faces)
+        if key not in seen:
             seen.add(key)
-            out.append(_embedding(m, pattern, glue, walks, face_ids, mirrored))
+            out.append(faces)
     return out
 
 

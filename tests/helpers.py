@@ -1,13 +1,18 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here shares logic with the package's canonical-code, belt, or
-fragment machinery; these are direct transcriptions of the definitions.
+patch machinery; these are direct transcriptions of the definitions, and a
+generic matcher of face-labeled templates (the C1/C2 caps and the P1/P2
+patches) that referees the package's direct P1/P2 placement.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
 
 from fforge import PlanarMap
 
@@ -343,4 +348,194 @@ def code_symbols_referee(m: PlanarMap, sigma, d0: int, best, exact: bool = False
                         return None
                     improving = True
             d = sigma[d]
+    return out
+
+
+# ----------------------------------------------------------------------
+# template fragment matcher
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FragmentPattern:
+    """Face-labeled template: sizes per face and slot-to-slot gluings.
+
+    Slot ``j`` of template face ``i`` is the j-th dart of its boundary walk;
+    a gluing ((i, a), (j, b)) identifies slot a of face i with slot b of face
+    j across a shared edge.  Unglued slots form the template boundary.
+    """
+
+    name: str
+    sizes: tuple[int, ...]
+    gluings: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+    def glue_table(self) -> dict[tuple[int, int], tuple[int, int]]:
+        t = {}
+        for a, b in self.gluings:
+            t[a] = b
+            t[b] = a
+        return t
+
+
+def _c1_pattern() -> FragmentPattern:
+    # face 0: central pentagon; faces 1..5: ring pentagons
+    gl = []
+    for i in range(5):
+        ring = 1 + i
+        gl.append(((0, i), (ring, 0)))
+        gl.append(((ring, 1), (1 + (i - 1) % 5, 4)))
+    return FragmentPattern("C1", (5,) * 6, tuple(gl))
+
+
+def _c2_pattern() -> FragmentPattern:
+    # faces 0-2: pentagons at a common vertex; faces 3-5: notch pentagons
+    gl = []
+    for i in range(3):
+        a, a_next = i, (i + 1) % 3
+        gl.append(((a, 1), (a_next, 0)))
+        gl.append(((a, 2), (3 + i, 0)))
+        gl.append(((a, 4), (3 + (i - 1) % 3, 1)))
+    return FragmentPattern("C2", (5,) * 6, tuple(gl))
+
+
+PATTERNS: dict[str, FragmentPattern] = {
+    "C1": _c1_pattern(),
+    "C2": _c2_pattern(),
+    # two edge-sharing pentagons with hexagons at both ends of the shared edge
+    "P1": FragmentPattern(
+        "P1",
+        (5, 5, 6, 6),
+        (((0, 0), (1, 0)), ((0, 1), (2, 0)), ((1, 4), (2, 1)), ((1, 1), (3, 0)), ((0, 4), (3, 1))),
+    ),
+    # pentagons 0,1,2 at a common vertex; hexagon 3 at the far end of the
+    # 0|1 edge; hexagon 4 across the middle far edge of pentagon 2
+    "P2": FragmentPattern(
+        "P2",
+        (5, 5, 5, 6, 6),
+        (
+            ((0, 0), (1, 1)),
+            ((0, 1), (2, 0)),
+            ((1, 0), (2, 1)),
+            ((0, 4), (3, 1)),
+            ((1, 2), (3, 0)),
+            ((2, 3), (4, 0)),
+        ),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Embedding:
+    """A label- and rotation-respecting placement of a pattern in a map."""
+
+    pattern: str
+    faces: tuple[int, ...]          # image of template face i
+    anchors: tuple[int, ...]        # image dart of slot 0 of template face i
+    mirrored: bool
+    is_patch: bool
+
+
+def _walk_from(m: PlanarMap, d: int, size: int, mirrored: bool) -> Optional[list[int]]:
+    """Darts of the face walk through d, starting at d; None on size mismatch.
+
+    The mirrored walk traces the face to the right of ``d`` in the reflected
+    rotation system (``next`` inverted), which is how mirror embeddings see it.
+    """
+    f = m.face_of[d] if not mirrored else m.face_of[m.twin(d)]
+    if m.face_sizes[f] != size:
+        return None
+    out = [d]
+    for _ in range(size - 1):
+        last = out[-1]
+        out.append(m.face_next(last) if not mirrored else m.prev(m.twin(last)))
+    return out
+
+
+def _place(m: PlanarMap, pat: FragmentPattern, glue: dict, d0: int, mirrored: bool):
+    """Rigid placement from slot 0 of face 0 at ``d0``: the per-face walks
+    and face images, or None when the pattern does not fit there."""
+    nfaces = len(pat.sizes)
+    walks: list[Optional[list[int]]] = [None] * nfaces
+    walks[0] = _walk_from(m, d0, pat.sizes[0], mirrored)
+    if walks[0] is None:
+        return None
+    queue = [0]
+    done = {0}
+    while queue:
+        i = queue.pop()
+        for slot in range(pat.sizes[i]):
+            other = glue.get((i, slot))
+            if other is None:
+                continue
+            j, jslot = other
+            image = m.twin(walks[i][slot])
+            if walks[j] is None:
+                w = _walk_from(m, image, pat.sizes[j], mirrored)
+                if w is None:
+                    return None
+                # rotate so that position jslot equals image
+                walks[j] = w[-jslot:] + w[:-jslot] if jslot else w
+                done.add(j)
+                queue.append(j)
+            elif walks[j][jslot] != image:
+                return None
+    if len(done) != nfaces:
+        return None
+    face_ids = tuple(m.face_of[w[0]] if not mirrored else m.face_of[m.twin(w[0])] for w in walks)
+    if len(set(face_ids)) != nfaces:
+        return None
+    return walks, face_ids
+
+
+def _is_simple_edge_cycle(m: PlanarMap, darts: list[int]) -> bool:
+    ends = [(m.source(d), m.target(d)) for d in darts]
+    cnt = Counter(v for e in ends for v in e)
+    if any(c != 2 for c in cnt.values()):
+        return False
+    adj: dict[int, list[int]] = {}
+    for a, b in ends:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    start = ends[0][0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(cnt)
+
+
+def match_fragments(m: PlanarMap, name: str) -> list[Embedding]:
+    """All embeddings of a template, mirror images included, deduplicated by
+    their face-image set.
+
+    A start dart places face 0's slot 0, and the gluings place the rest by
+    rigid propagation.  Embeddings come in start-dart order, unmirrored
+    first; the first embedding of a face set is kept.  An embedding is a
+    patch when its unglued slots walk a simple edge-cycle.
+    """
+    pattern = PATTERNS[name]
+    glue = pattern.glue_table()
+    out = []
+    seen: set[frozenset] = set()
+    for mirrored in (False, True):
+        for d0 in range(m.num_darts):
+            placed = _place(m, pattern, glue, d0, mirrored)
+            if placed is None:
+                continue
+            walks, face_ids = placed
+            key = frozenset(face_ids)
+            if key in seen:
+                continue
+            seen.add(key)
+            boundary = [
+                walks[i][slot]
+                for i in range(len(pattern.sizes))
+                for slot in range(pattern.sizes[i])
+                if (i, slot) not in glue
+            ]
+            is_patch = _is_simple_edge_cycle(m, boundary)
+            out.append(Embedding(name, face_ids, tuple(w[0] for w in walks), mirrored, is_patch))
     return out

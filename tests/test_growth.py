@@ -81,8 +81,8 @@ class TestRecognizer:
         """The referee: D5(p6/5) where the six-pentagon cap C1 embeds, F3(p6/3)
         where the triple cap C2 does."""
         p6, tags = p_vector(m)[6], []
-        for frag, fam, layer in ((Fragment.C1, "D5", 5), (Fragment.C2, "F3", 3)):
-            if find_fragments(m, frag):
+        for name, fam, layer in (("C1", "D5", 5), ("C2", "F3", 3)):
+            if helpers.match_fragments(m, name):
                 assert p6 % layer == 0
                 tags.append((fam, p6 // layer))
         return tags
@@ -112,9 +112,9 @@ class TestRecognizer:
         assert self._check_against_cap_search(maps) == 3 * 6
 
     def test_no_cap_search_runs(self, monkeypatch, trace_corpus):
-        """Neither recognition nor the a and ab reductions of the trace
-        corpus search for the C1 or C2 cap; the P2 patch search still runs."""
-        from fforge import growth, structure
+        """The a and ab reductions of the trace corpus ask for the P2 patch
+        only: recognition compares codes, and the P1 seam has its own scan."""
+        from fforge import growth
 
         patterns = []
 
@@ -123,14 +123,10 @@ class TestRecognizer:
             return find_fragments(m, pattern)
 
         monkeypatch.setattr(growth, "find_fragments", spy)
-        monkeypatch.setattr(structure, "find_fragments", spy)
-        for m in (build_D5k(2), build_F3k(2), build_dodecahedron()):
-            recognize_nanotube(m)
         for m in trace_corpus:
             for regime in (Regime.A_OPS, Regime.AB_OPS):
                 reduce_to_dodecahedron(m, regime)
-        assert Fragment.P2 in patterns
-        assert Fragment.C1 not in patterns and Fragment.C2 not in patterns
+        assert patterns and set(patterns) == {Fragment.P2}
 
     @pytest.mark.parametrize("build", [build_D5k, build_F3k])
     def test_family_maps_are_achiral(self, build):
@@ -500,15 +496,16 @@ class TestStepCheck:
 
 
 class TestP1Seam:
-    """The edge scan finds the seam ``min(find_fragments(m, P1))`` anchors."""
+    """The edge scan finds the seam that the least P1 embedding of the
+    template matcher anchors."""
 
     @staticmethod
     def _referee(m):
-        embs = find_fragments(m, Fragment.P1)
+        embs = helpers.match_fragments(m, "P1")
         if not embs:
             return None
-        emb = min(embs, key=lambda e: sorted(e.faces))
-        first = [d for d in m.faces[emb.face(0)] if m.face_of[m.twin(d)] == emb.face(1)]
+        faces = min((e.faces for e in embs), key=sorted)
+        first = [d for d in m.faces[faces[0]] if m.face_of[m.twin(d)] == faces[1]]
         assert len(first) == 1
         return first[0]
 
@@ -543,6 +540,30 @@ class TestP1Seam:
         assert len(scanned) >= 200
         for m in scanned:
             assert _p1_seam(m) == self._referee(m)
+
+
+class TestP2Scan:
+    """The direct P2 placement gives the template matcher's face tuples, in
+    its order, on every map the reduction asks it about."""
+
+    @pytest.mark.slow
+    def test_matches_the_matcher_on_every_map_reduction_scans(self, monkeypatch, trace_corpus):
+        """Every map the a and ab reductions of the trace corpus scan for P2."""
+        from fforge import growth
+
+        scanned = []
+
+        def spy(m, pattern):
+            scanned.append(m)
+            return find_fragments(m, pattern)
+
+        monkeypatch.setattr(growth, "find_fragments", spy)
+        for m in trace_corpus:
+            for regime in (Regime.A_OPS, Regime.AB_OPS):
+                reduce_to_dodecahedron(m, regime)
+        assert len(scanned) >= 20
+        for m in scanned:
+            assert find_fragments(m, Fragment.P2) == [e.faces for e in helpers.match_fragments(m, "P2")]
 
 
 class TestTraceDeterminism:

@@ -16,6 +16,7 @@ from fforge import (
     p_vector,
     truncate,
 )
+from fforge.planar_map import check_polytopal
 from fforge.structure import FamilyClass, Fragment, NotAFullereneError, NotPolytopalError
 
 import helpers
@@ -101,31 +102,50 @@ class TestFiveBeltCensus:
             five_belt_census(helpers.cube_map())
 
 
+def _placements(m, name):
+    """Face tuples of a template: the package's scan for P1 and P2, the
+    referee matcher for the C1 and C2 caps."""
+    if name in ("P1", "P2"):
+        return find_fragments(m, Fragment(name))
+    return [e.faces for e in helpers.match_fragments(m, name)]
+
+
+TEMPLATES = ("C1", "C2", "P1", "P2")
+
+# A map that is not 3-connected in which one hexagon lies both at the far end
+# of a pentagon pair's edge and across the third pentagon at their vertex.
+REPEATED_HEXAGON = [
+    [16, 18, 15], [14, 3, 4], [3, 15, 19], [1, 2, 4], [19, 1, 3], [11, 12, 7], [12, 8, 9],
+    [10, 5, 9], [6, 10, 9], [7, 6, 8], [8, 11, 7], [5, 10, 13], [5, 13, 6], [11, 12, 16],
+    [18, 17, 1], [2, 17, 0], [13, 17, 0], [14, 16, 15], [14, 19, 0], [2, 18, 4],
+]
+
+
 class TestFragments:
     def test_pentagon_ring_on_dodecahedron(self, dodeca):
-        embs = find_fragments(dodeca, Fragment.C1)
+        embs = helpers.match_fragments(dodeca, "C1")
         assert len(embs) == 12
         assert all(e.is_patch for e in embs)
         assert {frozenset(e.faces) for e in embs} == helpers.pentagon_ring_sites(dodeca)
 
     def test_triple_cap_on_dodecahedron(self, dodeca):
-        embs = find_fragments(dodeca, Fragment.C2)
+        embs = helpers.match_fragments(dodeca, "C2")
         assert {frozenset(e.faces) for e in embs} == helpers.triple_cap_sites(dodeca)
 
     def test_caps_on_nanotubes(self):
-        assert len(find_fragments(build_D5k(2), Fragment.C1)) == 2
-        assert len(find_fragments(build_F3k(2), Fragment.C2)) == 2
-        assert find_fragments(build_F3k(2), Fragment.C1) == []
+        assert len(helpers.match_fragments(build_D5k(2), "C1")) == 2
+        assert len(helpers.match_fragments(build_F3k(2), "C2")) == 2
+        assert helpers.match_fragments(build_F3k(2), "C1") == []
 
     def test_p1_matches_direct_recognizer(self, oracle5):
         for e in oracle5.entries.values():
-            embs = find_fragments(e.map, Fragment.P1)
-            assert {frozenset(em.faces) for em in embs} == helpers.pentagon_pair_hex_corners(e.map)
+            faces = find_fragments(e.map, Fragment.P1)
+            assert {frozenset(f) for f in faces} == helpers.pentagon_pair_hex_corners(e.map)
 
     def test_p2_matches_direct_recognizer(self, oracle5):
         for e in oracle5.entries.values():
-            embs = find_fragments(e.map, Fragment.P2)
-            assert {frozenset(em.faces) for em in embs} == helpers.pentagon_triple_arm_sites(e.map)
+            faces = find_fragments(e.map, Fragment.P2)
+            assert {frozenset(f) for f in faces} == helpers.pentagon_triple_arm_sites(e.map)
 
     def test_no_p1_on_ipr(self, c60):
         assert find_fragments(c60, Fragment.P1) == []
@@ -136,29 +156,49 @@ class TestFragments:
             mirror = PlanarMap.from_rotation(
                 [list(reversed(m.neighbors(v))) for v in range(m.num_vertices)]
             )
-            for frag in (Fragment.C1, Fragment.C2, Fragment.P1, Fragment.P2):
-                assert len(find_fragments(m, frag)) == len(find_fragments(mirror, frag))
+            for name in TEMPLATES:
+                assert len(_placements(m, name)) == len(_placements(mirror, name))
 
     def test_every_pattern_matches_its_direct_recognizer(self, gen_seven, gen_a, gen_ab, c60):
-        """The face sets of each pattern's embeddings, each found once, are
-        those of a direct recognizer that shares no code with the matcher,
-        on every closure fixture map, the IPR C60 and its leapfrog."""
+        """The face sets of each pattern's placements, each found once, are
+        those of a direct recognizer that shares no code with the scan or
+        the matcher, on every closure fixture map, the IPR C60 and its
+        leapfrog."""
         referees = {
-            Fragment.C1: helpers.pentagon_ring_sites,
-            Fragment.C2: helpers.triple_cap_sites,
-            Fragment.P1: helpers.pentagon_pair_hex_corners,
-            Fragment.P2: helpers.pentagon_triple_arm_sites,
+            "C1": helpers.pentagon_ring_sites,
+            "C2": helpers.triple_cap_sites,
+            "P1": helpers.pentagon_pair_hex_corners,
+            "P2": helpers.pentagon_triple_arm_sites,
         }
         pool = [e.map for g in (gen_seven, gen_a, gen_ab) for e in g.entries.values()]
         pool += [c60, helpers.leapfrog(c60)]
         hits = 0
         for m in pool:
-            for frag, referee in referees.items():
-                faces = [frozenset(emb.faces) for emb in find_fragments(m, frag)]
+            for name, referee in referees.items():
+                faces = [frozenset(f) for f in _placements(m, name)]
                 assert len(set(faces)) == len(faces)
                 assert set(faces) == referee(m)
                 hits += len(faces)
         assert (len(pool), hits) == (48, 396)
+
+    def test_scan_matches_the_template_matcher(self, gen_seven, gen_a, gen_ab):
+        """The direct P1/P2 placement gives the template matcher's face
+        tuples, in its order, on every closure fixture map and on a
+        relabeled and a mirrored copy of each."""
+        hits = {frag: 0 for frag in Fragment}
+        maps = [e.map for g in (gen_seven, gen_a, gen_ab) for e in g.entries.values()]
+        for i, m in enumerate(maps):
+            for copy in (m, helpers.relabeled(m, i), helpers.mirrored(m)):
+                for frag in Fragment:
+                    got = find_fragments(copy, frag)
+                    assert got == [e.faces for e in helpers.match_fragments(copy, frag.value)]
+                    hits[frag] += len(got)
+        assert (len(maps), hits[Fragment.P1], hits[Fragment.P2]) == (46, 336, 474)
+
+    def test_a_placement_with_a_repeated_face_is_no_patch(self):
+        m = PlanarMap.from_rotation(REPEATED_HEXAGON)
+        assert not check_polytopal(m)
+        assert find_fragments(m, Fragment.P2) == helpers.match_fragments(m, "P2") == []
 
     def test_adjacent_pentagon_coverage(self, oracle5):
         """Any fullerene with touching pentagons shows one of the four patches."""
@@ -166,11 +206,7 @@ class TestFragments:
             m = e.map
             if classify_shape(m) is FamilyClass.F_IPR:
                 continue
-            hits = sum(
-                bool(find_fragments(m, frag))
-                for frag in (Fragment.C1, Fragment.C2, Fragment.P1, Fragment.P2)
-            )
-            assert hits >= 1
+            assert any(_placements(m, name) for name in TEMPLATES)
 
 
 class TestClassify:

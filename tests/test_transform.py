@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,6 @@ from fforge.transform import (
     InvalidSiteError,
     SimplexInputError,
     ThreeBeltObstructionError,
-    _check_truncation_deltas,
     _run_darts,
     side_face_sizes,
     three_belt_through,
@@ -191,7 +191,7 @@ class TestFlagTransitions:
 # a straightening records (twin, inverse site), a truncation the canonical
 # code and new face size, and a failure its exception type.
 PINNED_STRAIGHTEN = "6170ac9e91ac33ca40a4f7da2ce4c24c295058898e5d568a99a3824a7e2753a6"
-PINNED_TRUNCATE = "eb7d1dadd736615289f269b7cb5986dbf3085b0192da377f82501180c455e9bb"
+PINNED_TRUNCATE = "a54625040c9d3a4d40a167b90fe49619e6cb08f7835492f796bf5ef4dd7f5cb3"
 
 
 @pytest.fixture(scope="module")
@@ -251,8 +251,8 @@ def test_truncate_outcomes_are_pinned(rewrite_maps):
             if isinstance(rec, str):
                 failures.add(rec)
             records.append(rec)
-    # the sample reaches both the site checks and the face-size delta check
-    assert failures == {"InvalidSiteError", "MapError"}
+    # every refusal in the sample is a site check
+    assert failures == {"InvalidSiteError"}
     assert _outcome_digest(records) == PINNED_TRUNCATE
 
 
@@ -265,26 +265,40 @@ def _accepted_sites(m: PlanarMap):
             pass
 
 
+def _recounted_census(m: PlanarMap, site: TruncationSite, d_in: int, d_out: int) -> Counter:
+    """Face-size census of the cut at ``site``, changing each distinct face
+    once: the site face loses s - 1 edges, the face across each flanking
+    edge gains one (twice if it is across both), and the new face has s + 3."""
+    sizes = list(m.face_sizes)
+    sizes[site.face] -= site.s - 1
+    sizes[m.face_of[m.twin(d_in)]] += 1
+    sizes[m.face_of[m.twin(d_out)]] += 1
+    return Counter(sizes + [site.s + 3])
+
+
 def test_every_accepted_cut_is_a_valid_map(rewrite_maps):
-    """A cut at any site ``_run_darts`` accepts validates in full.  Where the
-    site face and the faces across its flanking edges are three distinct
-    faces, the census check passes too; only where two coincide, which needs
-    a map that is not 3-connected, does truncate run that check itself, and
-    there it may refuse."""
-    refused = 0
+    """A cut at any site ``_run_darts`` accepts validates in full, and its
+    census is the recount that changes each distinct face once.  At 18 sites,
+    all on the two maps that are not 3-connected, one face plays two of the
+    roles site face, face across d_in and face across d_out, and a census
+    count by the signature's per-role deltas would be wrong."""
+    per_role_wrong = 0
     for m in rewrite_maps:
+        pv = p_vector(m).counts
         for site, (d_in, d_out) in _accepted_sites(m):
-            distinct = len({site.face, m.face_of[m.twin(d_in)], m.face_of[m.twin(d_out)]}) == 3
-            try:
-                res = truncate(m, site)
-            except MapError:
-                assert not distinct and not check_polytopal(m)
-                refused += 1
-                continue
+            res = truncate(m, site)
             assert PlanarMap(res.map._twin) == res.map
-            if distinct:
-                _check_truncation_deltas(m, site, res.map, res.new_face)
-    assert refused
+            census = Counter(res.map.face_sizes)
+            assert census == _recounted_census(m, site, d_in, d_out)
+            s, k = site.s, m.face_sizes[site.face]
+            m1, m2 = side_face_sizes(m, site)
+            per_role = Counter(pv)
+            per_role.update([s + 3, k - s + 1, m1 + 1, m2 + 1])
+            per_role.subtract([k, m1, m2])
+            if +per_role != census:
+                assert not check_polytopal(m)
+                per_role_wrong += 1
+    assert per_role_wrong == 18
 
 
 def _smoothed_rotation(m: PlanarMap, d: int) -> list[list[int]]:
