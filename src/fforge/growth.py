@@ -15,7 +15,14 @@ from enum import Enum
 from functools import cache
 from typing import Optional, Sequence
 
-from .planar_map import MapError, PlanarMap, map_from_faces, p_vector
+from .planar_map import (
+    MapError,
+    PlanarMap,
+    VertexOverflowError,
+    encode_planar_code,
+    map_from_faces,
+    p_vector,
+)
 from .structure import (
     FamilyClass,
     Fragment,
@@ -39,13 +46,15 @@ class AtDodecahedronError(MapError):
 
 class NoCaseAppliesError(MapError):
     """No reduction case fired, or the step it gave failed its check; carries
-    a dump of the offending map."""
+    the offending map, and names it by a planar_code dump or, where it has
+    more vertices than one-byte planar_code holds, by its vertex count."""
 
     def __init__(self, message: str, m: PlanarMap):
-        from .planar_map import encode_planar_code
-
-        dump = encode_planar_code([m], with_header=False).hex()
-        super().__init__(f"{message}; map dump (planar_code hex): {dump}")
+        try:
+            dump = "map dump (planar_code hex): " + encode_planar_code([m], with_header=False).hex()
+        except VertexOverflowError:
+            dump = f"{m.num_vertices} vertices, too many for a planar_code dump"
+        super().__init__(f"{message}; {dump}")
         self.map = m
 
 
@@ -268,98 +277,35 @@ def build_dodecahedron() -> PlanarMap:
 
 
 def build_F3k(k: int) -> PlanarMap:
-    """Fullerene made of two 6-pentagon triple caps separated by k hexagon layers."""
+    """Fullerene made of two 6-pentagon triple caps separated by k hexagon layers.
+
+    The opening cap's boundary is three segments (a, b, c, d): b and c are
+    saturated, a and d wait for their third edge, and each d is joined to
+    the next segment's a.  A layer glues the hexagon (d, c, b, a, n1, n2)
+    over each segment; the closing cap puts the pentagon (y, d, c, b, a) on
+    each and closes the three notches between them around a centre z.
+    """
     if k < 0:
         raise MapError("k must be nonnegative")
-    v = 0
-    u = [1, 2, 3]
-    q = [4 + i for i in range(3)]
-    r = [7 + i for i in range(3)]
-    w = [10 + i for i in range(3)]
-    wp = [13 + i for i in range(3)]
+    v, u, q, r, w, x = 0, [1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12], [13, 14, 15]
     faces: list[tuple[int, ...]] = []
     for i in range(3):
-        h = (i - 1) % 3
-        j = (i + 1) % 3
-        faces.append((u[h], v, u[i], q[i], r[i]))
-        faces.append((q[i], u[i], r[j], w[i], wp[i]))
-    # boundary walked forward by the cap faces; True marks a pending vertex
-    # still waiting for its third edge
-    boundary = [
-        (q[0], False), (r[0], False), (w[2], True), (wp[2], True),
-        (q[2], False), (r[2], False), (w[1], True), (wp[1], True),
-        (q[1], False), (r[1], False), (w[0], True), (wp[0], True),
-    ]
+        h, j = (i - 1) % 3, (i + 1) % 3
+        faces += [(u[h], v, u[i], q[i], r[i]), (q[i], u[i], r[j], w[i], x[i])]
+    # w[i - 1] is joined to x[i - 1], so the segments run i = 0, 2, 1
+    segs = [(x[i], q[i], r[i], w[i - 1]) for i in (0, 2, 1)]
     next_id = 16
     for _ in range(k):
-        n = len(boundary)
-        pair_positions = [
-            i for i in range(n)
-            if not boundary[i][1] and not boundary[(i + 1) % n][1]
-        ]
-        if len(pair_positions) != 3:
-            raise MapError("layer boundary lost its pattern")
-        new_boundary: list[tuple[int, bool]] = []
-        start = (pair_positions[0] - 1) % n
-        order = sorted(pair_positions, key=lambda i: (i - start) % n)
-        for i in order:
-            wp_a = boundary[(i - 1) % n][0]
-            qq = boundary[i][0]
-            rr = boundary[(i + 1) % n][0]
-            w_b = boundary[(i + 2) % n][0]
-            n1, n2 = next_id, next_id + 1
-            next_id += 2
-            faces.append((w_b, rr, qq, wp_a, n1, n2))
-            new_boundary.extend([(wp_a, False), (n1, True), (n2, True), (w_b, False)])
-        # merge duplicated joint vertices (w_b of one segment = wp of next)
-        boundary = _dedup_cycle(new_boundary)
-    _attach_c2_cap(faces, boundary, next_id)
+        n1 = [next_id + 2 * j for j in range(3)]
+        n2 = [next_id + 2 * j + 1 for j in range(3)]
+        faces += [(d, c, b, a, n1[j], n2[j]) for j, (a, b, c, d) in enumerate(segs)]
+        # segs[j - 2] is the next segment
+        segs = [(n2[j], segs[j][3], segs[j - 2][0], n1[j - 2]) for j in range(3)]
+        next_id += 6
+    z, y = next_id, [next_id + 1, next_id + 2, next_id + 3]
+    faces += [(y[j], d, c, b, a) for j, (a, b, c, d) in enumerate(segs)]
+    faces += [(segs[j - 2][0], segs[j][3], y[j], z, y[j - 2]) for j in range(3)]
     return map_from_faces(faces)
-
-
-def _dedup_cycle(seq: list[tuple[int, bool]]) -> list[tuple[int, bool]]:
-    out: list[tuple[int, bool]] = []
-    for item in seq:
-        if not out or out[-1][0] != item[0]:
-            out.append(item)
-    while len(out) > 1 and out[0][0] == out[-1][0]:
-        out.pop()
-    return out
-
-
-def _attach_c2_cap(faces: list, boundary: list[tuple[int, bool]], next_id: int) -> None:
-    """Close a (pending,pending,complete,complete)-patterned 12-boundary."""
-    n = len(boundary)
-    rev = [boundary[(-i) % n] for i in range(n)]
-    pair_pos = [
-        i for i in range(n)
-        if rev[i][1] and rev[(i + 1) % n][1]
-    ]
-    if n != 12 or len(pair_pos) != 3:
-        raise MapError("boundary cannot take a triple cap")
-    pair_pos.sort()
-    pairs = []  # (q', r') in backward-walk order
-    for i in pair_pos:
-        pairs.append((rev[i][0], rev[(i + 1) % n][0], i))
-    vp = next_id
-    up = [next_id + 1 + i for i in range(3)]
-    # backward-walk pair j is assigned to cap face index (3 - j) % 3 so the
-    # notch faces close against the right neighbors
-    assign = {}
-    for j in range(3):
-        assign[j] = pairs[(3 - j) % 3]
-    for j in range(3):
-        qj, rj, _ = assign[j]
-        faces.append((up[(j - 1) % 3], vp, up[j], qj, rj))
-    for j in range(3):
-        # notch between cap faces j and j+1: boundary path r'_{j+1} -> W -> W' -> q'_j
-        qj, _, posj = assign[j]
-        _, rj1, pos_r = assign[(j + 1) % 3]
-        w1 = rev[(pos_r + 2) % n][0]
-        w2 = rev[(pos_r + 3) % n][0]
-        if rev[(pos_r + 4) % n][0] != qj:
-            raise MapError("cap notch does not close against the boundary")
-        faces.append((qj, up[j], rj1, w1, w2))
 
 
 # nanotube family -> (the cap insertion that adds one layer, family builder,
@@ -701,46 +647,26 @@ def _undo_first(m: PlanarMap, cls: FamilyClass, code: bytes, regime: Regime):
     raise NoCaseAppliesError("no admissible truncation inverse found", m)
 
 
-def _p1_seam(m: PlanarMap) -> Optional[int]:
-    """The smaller dart of the seam of the P1 patch with the least face set,
-    or None: an edge with a pentagon on each side and a hexagon at each end,
-    four distinct faces.  This is the dart that ``find_fragments(m, P1)``
-    would anchor, found by one scan of the edges."""
-    fs, fo = m.face_sizes, m.face_of
-    best = None
-    for d in m.edges:
-        p, q = fo[d], fo[m.twin(d)]
-        if fs[p] == fs[q] == 5:
-            a, b = m.edge_corner_faces(d)
-            key = sorted((p, q, a, b))
-            if fs[a] == fs[b] == 6 and len(set(key)) == 4 and (best is None or key < best[0]):
-                best = (key, d)
-    return None if best is None else best[1]
-
-
 def _reduce_adjacent_pentagons(m: PlanarMap, code: bytes):
     """Cap/patch dispatch for a fullerene with adjacent pentagons: peel a
-    nanotube layer, or undo A4 at a P1 patch or A3 at a P2 patch.  The patch
-    with the least face set wins, the first ``find_fragments`` gives among
-    ties, and the chain search starts at its edge between faces 0 and 1."""
+    nanotube layer, or else undo A4 at a P1 patch, or else A3 at a P2 patch.
+    Among a pattern's patches the least face set wins, and the chain search
+    starts at its edge between faces 0 and 1."""
     for fam, k in recognize_nanotube(m):  # k > 0: reduce_once has refused C20
         op, builder, _ = _CAPS[fam]
         return _canonicalize(builder(k - 1)), GrowthStep(op, ("cap", fam, k - 1), code)
-    seam = _p1_seam(m)
-    if seam is not None:
-        patch, kind, first = Fragment.P1, GrowthOpKind.A4, [seam]
-    else:
-        patches = find_fragments(m, Fragment.P2)
+    for patch, kind in ((Fragment.P1, GrowthOpKind.A4), (Fragment.P2, GrowthOpKind.A3)):
+        patches = find_fragments(m, patch)
         if not patches:
-            raise NoCaseAppliesError("adjacent pentagons but no cap or patch embeds", m)
+            continue
         faces = min(patches, key=sorted)
         first = [d for d in m.faces[faces[0]] if m.face_of[m.twin(d)] == faces[1]]
-        patch, kind = Fragment.P2, GrowthOpKind.A3
-    got = _sequence_search(m, KIND_CHAINS[kind], _SOURCE_CLASSES[kind], first)
-    if got is None:
-        raise NoCaseAppliesError(f"{patch.name} patch did not straighten to a fullerene", m)
-    pred, sites = got
-    return pred, GrowthStep(kind, ("trunc", sites), code)
+        got = _sequence_search(m, KIND_CHAINS[kind], _SOURCE_CLASSES[kind], first)
+        if got is None:
+            raise NoCaseAppliesError(f"{patch.name} patch did not straighten to a fullerene", m)
+        pred, sites = got
+        return pred, GrowthStep(kind, ("trunc", sites), code)
+    raise NoCaseAppliesError("adjacent pentagons but no cap or patch embeds", m)
 
 
 def _sequence_search(

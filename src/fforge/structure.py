@@ -3,7 +3,8 @@
 A k-belt is a cyclic sequence of k pairwise distinct faces whose consecutive
 members intersect, whose non-consecutive members are disjoint, and whose total
 intersection is empty.  The P1 and P2 patches, where the reduction undoes A4
-and A3, are found by placing their few faces directly from each start dart.
+and A3, are found by one scan: it places their few faces directly from each
+dart that has a pentagon on both sides.
 """
 
 from __future__ import annotations
@@ -149,17 +150,19 @@ def find_fragments(m: PlanarMap, pattern: Fragment) -> list[tuple[int, ...]]:
 
     Face 0 is the face of the start dart ``d0``; faces 1, 2 and 3 lie across
     slots 0, 1 and 4 of face 0's walk from ``d0``, and P2's face 4 across
-    slot 3 of face 2's walk from the twin of slot 1.  Placements come in
-    start-dart order, and the first of each face set is kept.  Both patches
-    are mirror-symmetric (the reflection swaps faces 0 and 1), so a mirror
-    image placement covers the face set of one found here.
+    slot 3 of face 2's walk from the twin of slot 1.  Faces 0 and 1 of both
+    patches are pentagons, so only darts with a pentagon on each side start
+    a placement.  Placements come in start-dart order, and the first of each
+    face set is kept.  Both patches are mirror-symmetric (the reflection
+    swaps faces 0 and 1), so a mirror image placement covers the face set
+    of one found here.
     """
     sizes = _PATCH_SIZES[pattern]
     fs, fo, twin, step = m.face_sizes, m.face_of, m._twin, m.face_next
     out = []
     seen: set[frozenset] = set()
     for d0 in range(m.num_darts):
-        if fs[fo[d0]] != 5:
+        if fs[fo[d0]] != 5 or fs[fo[twin[d0]]] != 5:
             continue
         d1 = step(d0)
         d4 = step(step(step(d1)))

@@ -33,15 +33,22 @@ from fforge.growth import (
     SiteMismatchError,
     _canonical_site,
     _canonicalize,
-    _p1_seam,
     _site_matches,
     replay_step,
 )
-from fforge.planar_map import MapError, PlanarMap, decode_planar_code
+from fforge.planar_map import MapError, PlanarMap, check_polytopal, decode_planar_code
 from fforge.structure import FamilyClass, Fragment, NotAFullereneError, find_fragments
 from fforge.transform import EdgeRef, TruncationSite, straighten
 
 import helpers
+
+
+# sha256 of the canonical codes of the family maps with 0..30 layers, the
+# same under both reflection flags since the family maps are achiral
+PINNED_FAMILY_CODES = {
+    "build_D5k": "6982009352bb967167d60ab18f3fdd47cb6546592d2af325ffed9e2280c37dd2",
+    "build_F3k": "63e19cf5c4a17eb9d0ca25fbe3a4de46a6f4c5563e2b653bb1825801be9c16f6",
+}
 
 
 class TestBuilders:
@@ -58,6 +65,23 @@ class TestBuilders:
 
     def test_families_differ(self):
         assert build_D5k(3).canonical_code() != build_F3k(5).canonical_code()
+
+    @pytest.mark.parametrize("include_reflection", [True, False])
+    @pytest.mark.parametrize("build", [build_D5k, build_F3k])
+    def test_family_codes_are_pinned(self, build, include_reflection):
+        """sha256 of the canonical codes of the family maps with 0..30 layers."""
+        digest = hashlib.sha256(b"".join(build(k).canonical_code(include_reflection) for k in range(31)))
+        assert digest.hexdigest() == PINNED_FAMILY_CODES[build.__name__]
+
+    def test_f3k_is_a_tube_between_two_triple_caps(self):
+        """Each F3(k) is a polytopal fullerene with 3k hexagons, on which the
+        template matcher finds exactly two C2 caps and no C1 cap."""
+        for k in range(1, 31):
+            m = build_F3k(k)
+            assert check_polytopal(m)
+            assert p_vector(m).is_fullerene() and p_vector(m)[6] == 3 * k
+            assert len(helpers.match_fragments(m, "C2")) == 2
+            assert helpers.match_fragments(m, "C1") == []
 
 
 class TestRecognizer:
@@ -112,8 +136,8 @@ class TestRecognizer:
         assert self._check_against_cap_search(maps) == 3 * 6
 
     def test_no_cap_search_runs(self, monkeypatch, trace_corpus):
-        """The a and ab reductions of the trace corpus ask for the P2 patch
-        only: recognition compares codes, and the P1 seam has its own scan."""
+        """The a and ab reductions of the trace corpus ask for the P1 and P2
+        patches only: recognition compares codes."""
         from fforge import growth
 
         patterns = []
@@ -126,7 +150,7 @@ class TestRecognizer:
         for m in trace_corpus:
             for regime in (Regime.A_OPS, Regime.AB_OPS):
                 reduce_to_dodecahedron(m, regime)
-        assert patterns and set(patterns) == {Fragment.P2}
+        assert set(patterns) == {Fragment.P1, Fragment.P2}
 
     @pytest.mark.parametrize("build", [build_D5k, build_F3k])
     def test_family_maps_are_achiral(self, build):
@@ -486,6 +510,23 @@ class TestStepCheck:
         err, _ = self._reduce_with(monkeypatch, build_D5k(3), Regime.A_OPS, forge)
         assert str(err).startswith("reduction step 1 (A1): the predecessor is not D5(2)")
 
+    def test_a_map_too_large_to_dump_is_named_by_its_size(self):
+        m = build_D5k(24)
+        err = NoCaseAppliesError("no case applies", m)
+        assert str(err) == "no case applies; 260 vertices, too many for a planar_code dump"
+        assert err.map is m
+
+    def test_a_failed_step_on_a_map_too_large_to_dump_keeps_its_message(self, monkeypatch):
+        def forge(pred, step):
+            return dataclasses.replace(step, site=("cap", "D5", step.site[2] + 1))
+
+        err, cur = self._reduce_with(monkeypatch, build_D5k(25), Regime.A_OPS, forge)
+        assert str(err) == (
+            "reduction step 1 (A1): the predecessor is not D5(24); "
+            "260 vertices, too many for a planar_code dump"
+        )
+        assert err.map is cur
+
     def test_walk_test_rejects_an_isomer(self, oracle5):
         """The check's walk test tells apart maps of one size: every two
         isomers with five hexagons, each against the other's code."""
@@ -495,9 +536,10 @@ class TestStepCheck:
             assert a.reads_code(b.canonical_code()) == (a is b)
 
 
-class TestP1Seam:
-    """The edge scan finds the seam that the least P1 embedding of the
-    template matcher anchors."""
+class TestPatchScan:
+    """The reduction's one patch scan gives the template matcher's face
+    tuples, in its order, and the A4 chain search starts at the seam that
+    the least P1 embedding of the matcher anchors."""
 
     @staticmethod
     def _referee(m):
@@ -509,61 +551,62 @@ class TestP1Seam:
         assert len(first) == 1
         return first[0]
 
-    def test_matches_find_fragments(self, gen_a, gen_ab):
-        found = missing = 0
-        for gen in (gen_a, gen_ab):
-            for i, e in enumerate(gen.entries.values()):
-                if e.cls is not FamilyClass.F:
-                    continue
-                for m in (e.map, helpers.relabeled(e.map, i), helpers.mirrored(e.map)):
-                    seam = _p1_seam(m)
-                    assert seam == self._referee(m)
-                    found += seam is not None
-                    missing += seam is None
-        assert found >= 20 and missing >= 3
-
-    @pytest.mark.slow
-    def test_matches_find_fragments_on_every_map_reduction_scans(self, monkeypatch, trace_corpus):
-        """Every map the a and ab reductions of the trace corpus scan."""
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record each patch scan the reduction makes, as (map, pattern), and
+        the darts each A4 chain search at a patch starts from, as (map, darts)."""
         from fforge import growth
 
-        scanned = []
+        scans, seams = [], []
+        real_search = growth._sequence_search
 
-        def spy(m):
-            scanned.append(m)
-            return _p1_seam(m)
-
-        monkeypatch.setattr(growth, "_p1_seam", spy)
-        for m in trace_corpus:
-            for regime in (Regime.A_OPS, Regime.AB_OPS):
-                reduce_to_dodecahedron(m, regime)
-        assert len(scanned) >= 200
-        for m in scanned:
-            assert _p1_seam(m) == self._referee(m)
-
-
-class TestP2Scan:
-    """The direct P2 placement gives the template matcher's face tuples, in
-    its order, on every map the reduction asks it about."""
-
-    @pytest.mark.slow
-    def test_matches_the_matcher_on_every_map_reduction_scans(self, monkeypatch, trace_corpus):
-        """Every map the a and ab reductions of the trace corpus scan for P2."""
-        from fforge import growth
-
-        scanned = []
-
-        def spy(m, pattern):
-            scanned.append(m)
+        def scan(m, pattern):
+            scans.append((m, pattern))
             return find_fragments(m, pattern)
 
-        monkeypatch.setattr(growth, "find_fragments", spy)
+        def search(m, kinds, final, first):
+            if first is not None and kinds == KIND_CHAINS[GrowthOpKind.A4]:
+                seams.append((m, first))
+            return real_search(m, kinds, final, first)
+
+        monkeypatch.setattr(growth, "find_fragments", scan)
+        monkeypatch.setattr(growth, "_sequence_search", search)
+        return scans, seams
+
+    def test_a4_starts_at_the_least_p1_seam(self, monkeypatch, gen_a, gen_ab):
+        """Every fullerene with adjacent pentagons of the a and ab closures
+        but C20, as is, relabeled and mirrored, reduced one step."""
+        _, seams = self._spy(monkeypatch)
+        missing = 0
+        for gen, regime in ((gen_a, Regime.A_OPS), (gen_ab, Regime.AB_OPS)):
+            for i, e in enumerate(gen.entries.values()):
+                if e.cls is not FamilyClass.F or e.p6 == 0:
+                    continue
+                for m in (e.map, helpers.relabeled(e.map, i), helpers.mirrored(e.map)):
+                    before = len(seams)
+                    reduce_once(m, regime)
+                    if len(seams) == before:
+                        missing += self._referee(m) is None
+                    else:
+                        assert seams[-1] == (m, [self._referee(m)])
+        assert (len(seams), missing) == (24, 12)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("pattern", list(Fragment))
+    def test_matches_the_matcher_on_every_map_reduction_scans(self, pattern, monkeypatch, trace_corpus):
+        """Every map the a and ab reductions of the trace corpus scan."""
+        scans, seams = self._spy(monkeypatch)
         for m in trace_corpus:
             for regime in (Regime.A_OPS, Regime.AB_OPS):
                 reduce_to_dodecahedron(m, regime)
-        assert len(scanned) >= 20
+        scanned = [m for m, p in scans if p is pattern]
+        assert len(scanned) == {Fragment.P1: 338, Fragment.P2: 26}[pattern]
         for m in scanned:
-            assert find_fragments(m, Fragment.P2) == [e.faces for e in helpers.match_fragments(m, "P2")]
+            assert find_fragments(m, pattern) == [e.faces for e in helpers.match_fragments(m, pattern.value)]
+        if pattern is Fragment.P1:
+            assert len(seams) == 312
+            for m, first in seams:
+                assert first == [self._referee(m)]
 
 
 class TestTraceDeterminism:
