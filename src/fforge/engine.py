@@ -34,7 +34,6 @@ from .growth import (
     GrowthStep,
     Regime,
     _REGIME_CLASSES,
-    _dodecahedron_code,
     build_dodecahedron,
     recognize_nanotube,
     reduce_to_dodecahedron,
@@ -147,6 +146,8 @@ class GeneratedSet:
         return [self.entries[c].map for c in keys]
 
     def trace_of(self, code: bytes, regime: Regime) -> DerivationTrace:
+        """The steps that lead from the root entry, whose code starts the
+        trace, to ``code``'s entry."""
         steps: list[GrowthStep] = []
         cur = code
         while True:
@@ -155,7 +156,7 @@ class GeneratedSet:
                 break
             steps.append(e.step)
             cur = e.parent
-        return DerivationTrace(regime, _dodecahedron_code(), tuple(reversed(steps)))
+        return DerivationTrace(regime, cur, tuple(reversed(steps)))
 
 
 def enumerate_closure(job: EnumerationJob) -> GeneratedSet:
@@ -227,8 +228,7 @@ def _windup(sizes: Sequence[int], prefix: Optional[list] = None) -> Optional[Pla
     if not k:
         s0 = sizes[0]
         ring = tuple(range(s0))
-        edges = frozenset((v, (v + d) % s0) for v in ring for d in (1, -1))
-        prefix.append((s0, ((ring,), ring, (2,) * s0, edges, s0)))
+        prefix.append((s0, ((ring,), ring, (2,) * s0)))
         k = 1
     state = prefix[-1][1]
     for idx in range(k, nface - 1):
@@ -238,7 +238,7 @@ def _windup(sizes: Sequence[int], prefix: Optional[list] = None) -> Optional[Pla
         prefix.append((sizes[idx], state))
     if state is None:
         return None
-    faces, boundary, deg, _, _ = state
+    faces, boundary, deg = state
     if len(boundary) != sizes[-1] or any(deg[v] != 3 for v in boundary):
         return None
     try:
@@ -249,9 +249,10 @@ def _windup(sizes: Sequence[int], prefix: Optional[list] = None) -> Optional[Pla
 
 def _attach(state: tuple, s: int) -> Optional[tuple]:
     """The windup state after gluing a non-last face of size ``s``, or None
-    if the spiral jams there.  A state is (faces, boundary, deg, directed
-    edges, vertex count), all immutable so that ``_windup`` can cache it."""
-    faces, boundary, deg, edges, nv = state
+    if the spiral jams there.  A state is (faces, boundary, deg), all
+    immutable so that ``_windup`` can cache it; the vertices are 0 to
+    len(deg) - 1."""
+    faces, boundary, deg = state
     ln = len(boundary)
     if ln < 2:
         return None
@@ -276,16 +277,16 @@ def _attach(state: tuple, s: int) -> Optional[tuple]:
     ring = boundary * 3  # boundary[i % ln] is ring[i + ln] for -ln <= i < 2 * ln
     path = ring[p_start + ln:p_end + ln + 1]
     x0, xg = path[0], path[-1]
-    if newv == 0 and (x0, xg) in edges:
+    # both ends have degree 2, so both their edges lie on the boundary: they
+    # are joined exactly when the boundary is the run plus one edge
+    if newv == 0 and g == ln - 1:
         return None
-    new_ids = tuple(range(nv, nv + newv))
+    new_ids = tuple(range(len(deg), len(deg) + newv))
     deg = list(deg) + [2] * newv
     deg[x0] += 1
     deg[xg] += 1
-    arc = (x0,) + new_ids + (xg,)
-    edges = edges.union(zip(arc, arc[1:]), zip(arc[1:], arc))
     keep = ring[p_end + ln:p_start + 2 * ln + 1]
-    return faces + (tuple(reversed(path)) + new_ids,), keep + new_ids, tuple(deg), edges, nv + newv
+    return faces + (tuple(reversed(path)) + new_ids,), keep + new_ids, tuple(deg)
 
 
 def oracle_generate(max_p6: int, include_reflection: bool = True) -> GeneratedSet:

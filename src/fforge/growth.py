@@ -349,15 +349,21 @@ def recognize_nanotube(m: PlanarMap) -> list[tuple[str, int]]:
 _FULLERENE_CLASSES = (FamilyClass.F, FamilyClass.F_IPR)
 _F1_CLASSES = (FamilyClass.F1, FamilyClass.F1_IPR)
 
-# (source classes, target classes) of each of the seven truncations
+
+def _classes_with(sizes: tuple) -> tuple[FamilyClass, ...]:
+    """The classes whose exceptional face is among ``sizes``: a quadrangle
+    marks F-1, a heptagon the heptagon classes, and none the fullerenes."""
+    if 4 in sizes:
+        return (FamilyClass.F_MINUS1,)
+    return _F1_CLASSES if 7 in sizes else _FULLERENE_CLASSES
+
+
+# (source classes, target classes) of each of the seven truncations, read
+# off the faces it consumes, sizes (k, m1, m2), and makes, (s + 3, m1 + 1,
+# m2 + 1)
 _TRUNCATION_CLASSES: dict[GrowthOpKind, tuple[tuple[FamilyClass, ...], tuple[FamilyClass, ...]]] = {
-    GrowthOpKind.T145: ((FamilyClass.F_MINUS1,), (FamilyClass.F_MINUS1,)),
-    GrowthOpKind.T155: (_FULLERENE_CLASSES, (FamilyClass.F_MINUS1,)),
-    GrowthOpKind.T2645: ((FamilyClass.F_MINUS1,), _FULLERENE_CLASSES),
-    GrowthOpKind.T2655: (_FULLERENE_CLASSES, _FULLERENE_CLASSES),
-    GrowthOpKind.T2656: (_FULLERENE_CLASSES, _F1_CLASSES),
-    GrowthOpKind.T2755: (_F1_CLASSES, _FULLERENE_CLASSES),
-    GrowthOpKind.T2756: (_F1_CLASSES, _F1_CLASSES),
+    kind: (_classes_with((k, m1, m2)), _classes_with((s + 3, m1 + 1, m2 + 1)))
+    for kind, (s, k, m1, m2) in KIND_SIGNATURES.items()
 }
 
 _REGIME_CLASSES = {

@@ -4,7 +4,8 @@ A k-belt is a cyclic sequence of k pairwise distinct faces whose consecutive
 members intersect, whose non-consecutive members are disjoint, and whose total
 intersection is empty.  The P1 and P2 patches, where the reduction undoes A4
 and A3, are found by one scan: it places their few faces directly from each
-dart that has a pentagon on both sides.
+dart that has a pentagon on both sides.  The (1,3,1,3,1,3)-bordered 6-loops
+are found by tracing their 12-dart bordered edge-cycle from each dart.
 """
 
 from __future__ import annotations
@@ -42,15 +43,7 @@ class Belt:
 
 def _canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
     """Least rotation over both directions, for dihedral dedup."""
-    best = None
-    n = len(seq)
-    for rev in (False, True):
-        s = list(reversed(seq)) if rev else list(seq)
-        for r in range(n):
-            cand = tuple(s[r:] + s[:r])
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(tuple(s[r:] + s[:r]) for s in (list(seq), list(reversed(seq))) for r in range(len(seq)))
 
 
 def find_belts(m: PlanarMap, k: int) -> list[Belt]:
@@ -264,54 +257,6 @@ class LoopVerdict:
     reason: str
 
 
-def _bordered_walks(m: PlanarMap, loop: Sequence[int]):
-    """Boundary edge-walks bordered by a face loop, as dart lists.
-
-    The two results (one per side of the loop) list the boundary darts with
-    the loop face on the left; sides that fail to close into a simple cycle
-    are dropped.  Walking the reversed loop produces the other side, so both
-    are generated with one arc routine.
-    """
-
-    def one_side(seq):
-        k = len(seq)
-        shared = []
-        for i in range(k):
-            f, g = seq[i], seq[(i + 1) % k]
-            darts = [d for d in m.faces[f] if m.face_of[m.twin(d)] == g]
-            if len(darts) != 1:
-                return None
-            shared.append(darts[0])
-        boundary: list[int] = []
-        for i in range(k):
-            g = seq[(i + 1) % k]
-            d = m.face_next(m.twin(shared[i]))
-            stop = shared[(i + 1) % k]
-            steps = 0
-            while d != stop:
-                boundary.append(d)
-                d = m.face_next(d)
-                steps += 1
-                if steps > m.face_sizes[g]:
-                    return None
-        if not boundary:
-            return None
-        verts = [m.source(d) for d in boundary]
-        if len(set(verts)) != len(verts):
-            return None
-        return boundary
-
-    walks = []
-    fwd = one_side(list(loop))
-    if fwd is not None:
-        walks.append((list(loop), fwd))
-    rev_loop = [loop[0]] + list(reversed(loop[1:]))
-    rev = one_side(rev_loop)
-    if rev is not None:
-        walks.append((rev_loop, rev))
-    return walks
-
-
 def check_131313(m: PlanarMap) -> list[LoopVerdict]:
     """Verify the propagation dichotomy for (1,3,1,3,1,3)-bordered 6-loops.
 
@@ -324,114 +269,74 @@ def check_131313(m: PlanarMap) -> list[LoopVerdict]:
 
 
 def survey_131313(m: PlanarMap) -> list[LoopVerdict]:
-    """Dichotomy verdict for every (1,3,1,3,1,3)-bordered loop occurrence."""
-    pv = p_vector(m)
-    if not pv.is_fullerene():
+    """Dichotomy verdict for every (1,3,1,3,1,3)-bordered loop occurrence,
+    in the order of the loops' least rotations, a loop's own direction
+    before the reversed one."""
+    if not p_vector(m).is_fullerene():
         raise NotAFullereneError("the loop dichotomy applies to fullerenes")
-    verdicts = []
-    for loop, runs, outer in _find_131313_loops(m):
-        ok, reason = _check_dichotomy(m, loop, runs, outer)
-        verdicts.append(LoopVerdict(loop, ok, reason))
-    return verdicts
+    loops = _131313_loops(m)
+    keys = {key for key, _ in loops}
+    return [LoopVerdict(loops[occ][0], *_check_dichotomy(m, loops[occ][1], keys)) for occ in sorted(loops)]
 
 
-def _find_131313_loops(m: PlanarMap):
-    """Occurrences of simple 6-loops bordering a (1,3,1,3,1,3) edge-cycle.
+def _131313_loops(m: PlanarMap) -> dict:
+    """Every (1,3,1,3,1,3)-bordered 6-loop occurrence, traced as its
+    bordered edge-cycle.
 
-    Yields (loop, per-face run lengths, outer run faces).
+    The cycle is 12 darts with the loop faces on their left, and its steps
+    go A, A, B, B three times: A (``face_next``) moves along a run, and B
+    (prev . twin) turns onto the next loop face with the same face on the
+    right.  A walk is kept if it returns to its start through 12 distinct
+    vertices, its six left faces (those of darts 0, 3, 4, 7, 8 and 11) are
+    distinct, and consecutive loop faces share exactly one edge; its runs
+    are then 3, 1, 3, 1, 3, 1.  Returns ``{(least rotation, runs against
+    it): (loop, walk)}``, the loop starting at the first 1-run face at or
+    after its least face and the walk at the first dart of a 3-run.
     """
-    seen = set()
-    nf = m.num_faces
-    adj = [sorted(set(m.face_neighbors(f))) for f in range(nf)]
-
-    def loops6(path):
-        last = path[-1]
-        if len(path) == 6:
-            if path[0] in adj[last]:
-                yield tuple(path)
-            return
-        for g in adj[last]:
-            if g in path:
-                continue
-            if len(path) == 1 or g > path[0]:
-                yield from loops6(path + [g])
-
-    for f0 in range(nf):
-        for loop in loops6([f0]):
-            key = _canonical_cycle(loop)
-            if key in seen:
-                continue
-            seen.add(key)
-            for occ in _loop_occurrences(m, key):
-                yield occ
-
-
-def _loop_occurrences(m: PlanarMap, loop: tuple[int, ...]):
-    for seq, walk in _bordered_walks(m, loop):
-        runs, outer = _run_pattern(m, seq, walk)
-        if runs is None:
+    twin, nxt, fo = m._twin, m._next, m.face_of
+    out = {}
+    for d0 in range(m.num_darts):
+        walk = [d0]
+        for i in range(12):
+            t = twin[walk[-1]]
+            walk.append(nxt[t] if i % 4 < 2 else nxt[nxt[t]])
+        if walk.pop() != d0 or len({d // 3 for d in walk}) != 12:
             continue
-        for rot in range(6):
-            rotated = runs[rot:] + runs[:rot]
-            if rotated == [1, 3, 1, 3, 1, 3]:
-                lo = seq[rot:] + seq[:rot]
-                ou = outer[rot:] + outer[:rot]
-                yield (tuple(lo), rotated, ou)
-                break
+        faces = [fo[walk[i]] for i in (0, 3, 4, 7, 8, 11)]
+        if len(set(faces)) != 6 or any(
+            m.face_neighbors(f).count(faces[i - 5]) != 1 for i, f in enumerate(faces)
+        ):
+            continue
+        key = _canonical_cycle(faces)
+        at = faces.index(key[0])
+        against = tuple(faces[at:] + faces[:at]) != key
+        at += at % 2 == 0  # the 1-run faces are the odd ones
+        out.setdefault((key, against), (tuple(faces[at:] + faces[:at]), walk))
+    return out
 
 
-def _run_pattern(m: PlanarMap, loop, walk):
-    """Edge counts of each loop face along the bordered walk, in loop order."""
-    runs = [0] * len(loop)
-    face_pos = {f: i for i, f in enumerate(loop)}
-    outer_runs: list[list[int]] = [[] for _ in loop]
-    for d in walk:
-        f = m.face_of[d]
-        i = face_pos.get(f)
-        if i is None:
-            return None, None
-        runs[i] += 1
-        outer_runs[i].append(m.face_of[m.twin(d)])
-    return runs, outer_runs
+def _check_dichotomy(m: PlanarMap, walk: list[int], keys: set) -> tuple[bool, str]:
+    """The bordering loop either closes the cap or propagates the pattern.
 
-
-def _check_dichotomy(m, loop, runs, outer):
-    """The bordering loop either closes the cap or propagates the pattern."""
-    # outer faces across the 3-run members: middle must be a single face,
-    # flanks shared with the neighboring 1-run crossings
-    three_positions = [i for i, r in enumerate(runs) if r == 3]
-    singles = []  # outer face with one edge per 3-run (the middle role)
-    corners = []  # outer faces flanking each 3-run (the crossing roles)
-    for i in three_positions:
-        o = outer[i]
-        if len(o) != 3:
-            return False, "outer pattern mismatch"
-        singles.append(o[1])
-        corners.append((o[0], o[2]))
-    flat = []
-    for j in range(3):
-        a, t, b = corners[j][0], singles[j], corners[j][1]
-        flat.extend([a, t])
-        # the crossing face spans the 1-run edge between consecutive 3-runs
-        one_after = outer[(three_positions[j] + 1) % 6]
-        if b != corners[(j + 1) % 3][0] or one_after != [b]:
-            return False, "bordering loop does not close into six runs"
-    if len(set(flat)) != 6:
+    Across the 3-run starting at dart ``4j`` lie a corner face (shared with
+    the 1-run before it) and a middle face; the corners and middles make
+    the bordering 6-loop.  It propagates if its corners, all hexagons, and
+    the inner 3-run faces form another traced loop.
+    """
+    twin, fo = m._twin, m.face_of
+    corners = [fo[twin[walk[j]]] for j in (0, 4, 8)]
+    middles = [fo[twin[walk[j]]] for j in (1, 5, 9)]
+    if len(set(corners + middles)) != 6:
         return False, "bordering 6-loop is not simple"
-    p_faces = [corners[j][0] for j in range(3)]
-    sizes = [m.face_sizes[f] for f in p_faces]
+    sizes = [m.face_sizes[f] for f in corners]
     if all(s == 5 for s in sizes):
         return True, "cap closes"
     if all(s == 6 for s in sizes):
-        # propagation: the next loop mixes the inner 3-run faces with the
-        # outer corner faces and must again border a (1,3,...) cycle
-        inner3 = [loop[i] for i in three_positions]
-        nxt_loop = []
-        for j in range(3):
-            nxt_loop.extend([inner3[j], p_faces[(j + 1) % 3]])
+        # the next loop mixes the inner 3-run faces with the corner faces
+        nxt_loop = [f for j in range(3) for f in (fo[walk[4 * j]], corners[(j + 1) % 3])]
         if len(set(nxt_loop)) != 6:
             return False, "propagated loop is not simple"
-        for occ_loop, occ_runs, _ in _loop_occurrences(m, tuple(nxt_loop)):
+        if _canonical_cycle(nxt_loop) in keys:
             return True, "pattern propagates"
         return False, "propagated loop lacks the run pattern"
     return False, "corner faces are neither all pentagons nor all hexagons"

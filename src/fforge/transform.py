@@ -94,9 +94,7 @@ class StraighteningResult:
 
 def _flank_darts(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
     """The face darts into the run's first vertex and out of its last."""
-    d_in = site.start_dart
-    for _ in range(m.face_sizes[site.face] - 1):
-        d_in = m.face_next(d_in)
+    d_in = m.twin(m.prev(site.start_dart))
     d_out = site.start_dart
     for _ in range(site.s):
         d_out = m.face_next(d_out)
@@ -224,11 +222,11 @@ def enumerate_sites(
 ) -> list[TruncationSite]:
     """All truncation sites matching the (s, k; m1, m2) pattern.
 
-    ``None`` entries are wildcards and the side sizes match unordered.  Edge
+    ``None`` entries are wildcards and the side sizes match unordered, so
+    one given side size matches a site with that size on either side.  Edge
     cuts (s = 1) are reported once per edge, corner cuts (s = 0) once per
     vertex; longer runs once per directed run of the host face walk.
     """
-    want = None if (m1 is None and m2 is None) else (m1, m2)
     out = []
     seen_anchors = set()
     s_values = range(0, max(m.face_sizes) - 1) if s is None else [s]
@@ -251,9 +249,9 @@ def enumerate_sites(
                     if anchor in seen_anchors:
                         continue
                     seen_anchors.add(anchor)
-                if want is not None:
+                if m1 is not None or m2 is not None:
                     a, b = side_face_sizes(m, site)
-                    if (a, b) != want and (b, a) != want:
+                    if not (m1 in (None, a) and m2 in (None, b) or m1 in (None, b) and m2 in (None, a)):
                         if anchor is not None:
                             seen_anchors.discard(anchor)
                         continue

@@ -1,9 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here shares logic with the package's canonical-code, belt, or
-patch machinery; these are direct transcriptions of the definitions, and a
+patch machinery; these are direct transcriptions of the definitions, a
 generic matcher of face-labeled templates (the C1/C2 caps and the P1/P2
-patches) that referees the package's direct P1/P2 placement.
+patches) that referees the package's direct P1/P2 placement, and a search
+of every 6-loop of faces that referees the package's (1,3,1,3,1,3)-loop
+tracer.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from fforge import PlanarMap
 
@@ -539,3 +541,168 @@ def match_fragments(m: PlanarMap, name: str) -> list[Embedding]:
             is_patch = _is_simple_edge_cycle(m, boundary)
             out.append(Embedding(name, face_ids, tuple(w[0] for w in walks), mirrored, is_patch))
     return out
+
+
+# ----------------------------------------------------------------------
+# the (1,3,1,3,1,3) loop search
+# ----------------------------------------------------------------------
+
+
+def survey_131313_referee(m: PlanarMap) -> list[tuple[tuple[int, ...], bool, str]]:
+    """(loop, ok, reason) of every (1,3,1,3,1,3)-bordered loop occurrence,
+    found by enumerating every simple 6-cycle of faces and walking both
+    sides of each; the referee for the package's 12-dart cycle tracer."""
+    return [
+        (loop, *_check_dichotomy(m, loop, runs, outer))
+        for loop, runs, outer in _find_131313_loops(m)
+    ]
+
+
+def _bordered_walks(m: PlanarMap, loop: Sequence[int]):
+    """Boundary edge-walks bordered by a face loop, as dart lists.
+
+    The two results (one per side of the loop) list the boundary darts with
+    the loop face on the left; sides that fail to close into a simple cycle
+    are dropped.  Walking the reversed loop produces the other side, so both
+    are generated with one arc routine.
+    """
+
+    def one_side(seq):
+        k = len(seq)
+        shared = []
+        for i in range(k):
+            f, g = seq[i], seq[(i + 1) % k]
+            darts = [d for d in m.faces[f] if m.face_of[m.twin(d)] == g]
+            if len(darts) != 1:
+                return None
+            shared.append(darts[0])
+        boundary: list[int] = []
+        for i in range(k):
+            g = seq[(i + 1) % k]
+            d = m.face_next(m.twin(shared[i]))
+            stop = shared[(i + 1) % k]
+            steps = 0
+            while d != stop:
+                boundary.append(d)
+                d = m.face_next(d)
+                steps += 1
+                if steps > m.face_sizes[g]:
+                    return None
+        if not boundary:
+            return None
+        verts = [m.source(d) for d in boundary]
+        if len(set(verts)) != len(verts):
+            return None
+        return boundary
+
+    walks = []
+    fwd = one_side(list(loop))
+    if fwd is not None:
+        walks.append((list(loop), fwd))
+    rev_loop = [loop[0]] + list(reversed(loop[1:]))
+    rev = one_side(rev_loop)
+    if rev is not None:
+        walks.append((rev_loop, rev))
+    return walks
+
+
+def _find_131313_loops(m: PlanarMap):
+    """Occurrences of simple 6-loops bordering a (1,3,1,3,1,3) edge-cycle.
+
+    Yields (loop, per-face run lengths, outer run faces).
+    """
+    seen = set()
+    nf = m.num_faces
+    adj = [sorted(set(m.face_neighbors(f))) for f in range(nf)]
+
+    def loops6(path):
+        last = path[-1]
+        if len(path) == 6:
+            if path[0] in adj[last]:
+                yield tuple(path)
+            return
+        for g in adj[last]:
+            if g in path:
+                continue
+            if len(path) == 1 or g > path[0]:
+                yield from loops6(path + [g])
+
+    for f0 in range(nf):
+        for loop in loops6([f0]):
+            key = _cycle_key(loop)
+            if key in seen:
+                continue
+            seen.add(key)
+            for occ in _loop_occurrences(m, key):
+                yield occ
+
+
+def _loop_occurrences(m: PlanarMap, loop: tuple[int, ...]):
+    for seq, walk in _bordered_walks(m, loop):
+        runs, outer = _run_pattern(m, seq, walk)
+        if runs is None:
+            continue
+        for rot in range(6):
+            rotated = runs[rot:] + runs[:rot]
+            if rotated == [1, 3, 1, 3, 1, 3]:
+                lo = seq[rot:] + seq[:rot]
+                ou = outer[rot:] + outer[:rot]
+                yield (tuple(lo), rotated, ou)
+                break
+
+
+def _run_pattern(m: PlanarMap, loop, walk):
+    """Edge counts of each loop face along the bordered walk, in loop order."""
+    runs = [0] * len(loop)
+    face_pos = {f: i for i, f in enumerate(loop)}
+    outer_runs: list[list[int]] = [[] for _ in loop]
+    for d in walk:
+        f = m.face_of[d]
+        i = face_pos.get(f)
+        if i is None:
+            return None, None
+        runs[i] += 1
+        outer_runs[i].append(m.face_of[m.twin(d)])
+    return runs, outer_runs
+
+
+def _check_dichotomy(m, loop, runs, outer):
+    """The bordering loop either closes the cap or propagates the pattern."""
+    # outer faces across the 3-run members: middle must be a single face,
+    # flanks shared with the neighboring 1-run crossings
+    three_positions = [i for i, r in enumerate(runs) if r == 3]
+    singles = []  # outer face with one edge per 3-run (the middle role)
+    corners = []  # outer faces flanking each 3-run (the crossing roles)
+    for i in three_positions:
+        o = outer[i]
+        if len(o) != 3:
+            return False, "outer pattern mismatch"
+        singles.append(o[1])
+        corners.append((o[0], o[2]))
+    flat = []
+    for j in range(3):
+        a, t, b = corners[j][0], singles[j], corners[j][1]
+        flat.extend([a, t])
+        # the crossing face spans the 1-run edge between consecutive 3-runs
+        one_after = outer[(three_positions[j] + 1) % 6]
+        if b != corners[(j + 1) % 3][0] or one_after != [b]:
+            return False, "bordering loop does not close into six runs"
+    if len(set(flat)) != 6:
+        return False, "bordering 6-loop is not simple"
+    p_faces = [corners[j][0] for j in range(3)]
+    sizes = [m.face_sizes[f] for f in p_faces]
+    if all(s == 5 for s in sizes):
+        return True, "cap closes"
+    if all(s == 6 for s in sizes):
+        # propagation: the next loop mixes the inner 3-run faces with the
+        # outer corner faces and must again border a (1,3,...) cycle
+        inner3 = [loop[i] for i in three_positions]
+        nxt_loop = []
+        for j in range(3):
+            nxt_loop.extend([inner3[j], p_faces[(j + 1) % 3]])
+        if len(set(nxt_loop)) != 6:
+            return False, "propagated loop is not simple"
+        for occ_loop, occ_runs, _ in _loop_occurrences(m, tuple(nxt_loop)):
+            return True, "pattern propagates"
+        return False, "propagated loop lacks the run pattern"
+    return False, "corner faces are neither all pentagons nor all hexagons"

@@ -17,7 +17,7 @@ from fforge import (
     truncate,
 )
 from fforge.planar_map import check_polytopal
-from fforge.structure import FamilyClass, Fragment, NotAFullereneError, NotPolytopalError
+from fforge.structure import FamilyClass, Fragment, NotAFullereneError, NotPolytopalError, survey_131313
 
 import helpers
 
@@ -253,8 +253,6 @@ class TestLoopDichotomy:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_nanotube_propagation(self, k):
-        from fforge.structure import survey_131313
-
         assert check_131313(build_F3k(k)) == []
         verdicts = survey_131313(build_F3k(k))
         reasons = {v.reason for v in verdicts}
@@ -269,3 +267,27 @@ class TestLoopDichotomy:
     def test_rejects_non_fullerene(self):
         with pytest.raises(NotAFullereneError):
             check_131313(helpers.cube_map())
+
+    def test_tracer_equals_the_6_loop_search(self, oracle5, c60):
+        maps = [e.map for e in oracle5.entries.values()] + [c60]
+        maps += [build_F3k(k) for k in range(5)] + [build_D5k(k) for k in (1, 2, 3)]
+        assert _loop_surveys_agree(maps) > 100
+
+    @pytest.mark.slow
+    def test_tracer_equals_the_6_loop_search_to_p6_10(self, oracle10):
+        maps = [e.map for e in oracle10.entries.values()]
+        assert _loop_surveys_agree(maps) > 0
+        for m in maps:
+            assert check_131313(m) == []
+
+
+def _loop_surveys_agree(maps) -> int:
+    """Assert that ``survey_131313`` equals the referee search, list for
+    list, on each map as is, relabeled and mirrored; the verdicts compared."""
+    compared = 0
+    for m in maps:
+        for copy in (m, helpers.relabeled(m, 3), helpers.mirrored(m)):
+            verdicts = [(v.loop, v.ok, v.reason) for v in survey_131313(copy)]
+            assert verdicts == helpers.survey_131313_referee(copy)
+            compared += len(verdicts)
+    return compared

@@ -152,6 +152,15 @@ class TestEnumerateSites:
         b = {(s.face, s.start_dart) for s in enumerate_sites(m, s=2, k=6, m1=6, m2=5)}
         assert a == b
 
+    def test_one_side_size_is_matched_either_side(self, dodeca, family_maps):
+        assert enumerate_sites(dodeca, s=1, m1=5) == enumerate_sites(dodeca, s=1, m1=5, m2=5)
+        assert enumerate_sites(dodeca, s=1, m2=5) == enumerate_sites(dodeca, s=1, m1=5, m2=5)
+        for m in family_maps[::5]:
+            for size in (4, 5, 6, 7):
+                want = [site for site in enumerate_sites(m, s=2) if size in side_face_sizes(m, site)]
+                assert enumerate_sites(m, s=2, m1=size) == want
+                assert enumerate_sites(m, s=2, m2=size) == want
+
     def test_signature_agrees_with_side_sizes(self, family_maps):
         for m in family_maps[::5]:
             for site in enumerate_sites(m, s=2)[::3]:
