@@ -10,7 +10,7 @@ isomorphic inputs produce identical traces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from typing import Optional, Sequence
@@ -139,12 +139,16 @@ class GrowthStep:
 
     ``site`` is ("trunc", ((s, dart), ...)) with darts in the canonical
     labeling of the map each sub-truncation acts on, or ("cap", family, k)
-    for a layer insertion into that family's map with k layers.
+    for a layer insertion into that family's map with k layers.  ``start``,
+    set by the reduction and never serialized, is the ``(dart, reflected)``
+    start from which the step's result reads ``code`` (see
+    ``_carried_start``).
     """
 
     kind: GrowthOpKind
     site: tuple
     code: bytes
+    start: Optional[tuple[int, bool]] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         if self.site[0] == "trunc":
@@ -416,8 +420,10 @@ def _canonicalize(m: PlanarMap) -> PlanarMap:
     return m.canonical_form()[0]
 
 
-def _canonical_site(m_raw: PlanarMap, site: TruncationSite) -> tuple[PlanarMap, tuple[int, int]]:
-    """Express a truncation site in the canonical labeling.
+def _canonical_site(m_raw: PlanarMap, site: TruncationSite):
+    """Express a truncation site in the canonical labeling:
+    ``(canonical form, (s, dart), dart_map, reflected)``, the last two as
+    ``canonical_form`` gives them.
 
     When the canonical form reflects the map, the run anchor is replaced by
     its mirror (the walk dart entering the run from the other side), so the
@@ -426,11 +432,11 @@ def _canonical_site(m_raw: PlanarMap, site: TruncationSite) -> tuple[PlanarMap, 
     """
     canon, dmap, reflected = m_raw.canonical_form()
     if not reflected:
-        return canon, (site.s, dmap[site.start_dart])
+        return canon, (site.s, dmap[site.start_dart]), dmap, reflected
     t_last = site.start_dart
     for _ in range((site.s - 1) % m_raw.face_sizes[site.face]):
         t_last = m_raw.face_next(t_last)
-    return canon, (site.s, dmap[m_raw.twin(t_last)])
+    return canon, (site.s, dmap[m_raw.twin(t_last)]), dmap, reflected
 
 
 def apply_growth(m: PlanarMap, kind: GrowthOpKind, site=None) -> PlanarMap:
@@ -648,8 +654,8 @@ def _undo_first(m: PlanarMap, cls: FamilyClass, code: bytes, regime: Regime):
         final = [c for c in _SOURCE_CLASSES[kind] if c in _REGIME_CLASSES[regime]]
         got = _sequence_search(m, KIND_CHAINS[kind], final, None)
         if got is not None:
-            pred, sites = got
-            return pred, GrowthStep(kind, ("trunc", sites), code)
+            pred, sites, start = got
+            return pred, GrowthStep(kind, ("trunc", sites), code, start)
     raise NoCaseAppliesError("no admissible truncation inverse found", m)
 
 
@@ -670,8 +676,8 @@ def _reduce_adjacent_pentagons(m: PlanarMap, code: bytes):
         got = _sequence_search(m, KIND_CHAINS[kind], _SOURCE_CLASSES[kind], first)
         if got is None:
             raise NoCaseAppliesError(f"{patch.name} patch did not straighten to a fullerene", m)
-        pred, sites = got
-        return pred, GrowthStep(kind, ("trunc", sites), code)
+        pred, sites, start = got
+        return pred, GrowthStep(kind, ("trunc", sites), code, start)
     raise NoCaseAppliesError("adjacent pentagons but no cap or patch embeds", m)
 
 
@@ -689,11 +695,11 @@ def _sequence_search(
     from the (s+3)-gon its truncation made, so the inverse sub-site has the
     truncation's signature; it is recorded in the canonical labeling of the
     map it cuts.  Only the predecessor's class is checked, against
-    ``final``.  Returns (canonical predecessor, sub-sites in forward order)
-    or None.
+    ``final``.  Returns (canonical predecessor, sub-sites in forward order,
+    ``_carried_start`` of the first straightening) or None.
     """
 
-    def rec(cur: PlanarMap, depth: int, acc: tuple, darts):
+    def rec(cur: PlanarMap, depth: int, acc: tuple, darts, top):
         kind = kinds[depth]
         new_size = KIND_SIGNATURES[kind][0] + 3
         for d in _candidate_darts(cur, kind) if darts is None else darts:
@@ -705,15 +711,45 @@ def _sequence_search(
                 continue
             if depth == 0 and classify_shape(res.map) not in final:
                 continue
-            nxt, csite = _canonical_site(res.map, res.inverse_site)
+            nxt, csite, dmap, reflected = _canonical_site(res.map, res.inverse_site)
+            # the chain's last cut rebuilds m from the first straightening's nxt
+            here = top or (d, res.relabel, nxt, csite, dmap, reflected)
             if depth == 0:
-                return nxt, (csite,) + acc
-            got = rec(nxt, depth - 1, (csite,) + acc, None)
+                return nxt, (csite,) + acc, _carried_start(m, *here)
+            got = rec(nxt, depth - 1, (csite,) + acc, None, here)
             if got is not None:
                 return got
         return None
 
-    return rec(m, len(kinds) - 1, (), first)
+    return rec(m, len(kinds) - 1, (), first, None)
+
+
+def _carried_start(c: PlanarMap, d: int, relabel, x: PlanarMap, csite, dmap, reflected: bool):
+    """The ``(dart, reflected)`` start from which R = truncate(x, csite)
+    reads ``c``'s canonical code, where straightening ``c`` at ``d`` gave
+    ``relabel`` and the canonical form ``x`` with ``dmap`` and ``reflected``.
+
+    A dart y of ``c`` at a vertex that survives is ``psi(y) =
+    dmap[relabel[y]]`` in x, and so in R, which keeps x's dart ids; R is
+    walked in the mirror rotation exactly when ``reflected`` differs from the
+    winning start's own reflection.  A start cut away with ``d``'s ends is
+    reached over R's new vertices: across its edge when only its source is
+    cut, and else, being ``d`` or its twin, back from the next dart around
+    its target.
+    """
+    w, sigma, w_refl = c._canonical(True)[1]
+    cut = (d // 3, c.twin(d) // 3)
+    mirror = reflected != w_refl
+    if w // 3 not in cut:
+        return dmap[relabel[w]], mirror
+    twin_r = truncate(x, TruncationSite(x.face_of[csite[1]], csite[1], csite[0])).map.twin
+    tw = c.twin(w)
+    if tw // 3 not in cut:
+        return twin_r(dmap[relabel[tw]]), mirror
+    # the image of y = sigma(twin w), which leads from w's target to a vertex
+    # that survives; twin(w)'s image is the dart before it in R's walk rotation
+    y = twin_r(dmap[relabel[c.twin(sigma[tw])]])
+    return twin_r(3 * (y // 3) + (y + (1 if mirror else 2)) % 3), mirror
 
 
 # ----------------------------------------------------------------------
@@ -781,8 +817,10 @@ def reduce_to_dodecahedron(m: PlanarMap, regime: Regime) -> DerivationTrace:
 
     Each step is checked as it is found: its kind is in the regime, and
     ``_apply_step`` gives a map that reads the step's code, which is the
-    code the canonical search gave the map reduced.  NoCaseAppliesError
-    names the step, counting from 0 at ``m``.
+    code the canonical search gave the map reduced.  The walk test walks
+    the start the search carried in the step first, and scans only if that
+    walk fails.  NoCaseAppliesError names the step, counting from 0 at
+    ``m``.
 
     No rewrite here validates the map it builds: each predecessor is a
     straightening of a valid map, which is valid by construction (see
@@ -796,7 +834,7 @@ def reduce_to_dodecahedron(m: PlanarMap, regime: Regime) -> DerivationTrace:
         try:
             if step.kind not in _REGIME_KINDS[regime]:
                 raise IllegalTransitionError(f"{step.kind.name} is not in regime {regime.value}")
-            if not _apply_step(pred, step).reads_code(step.code):
+            if not _apply_step(pred, step).reads_code(step.code, start=step.start):
                 raise MapError("the result is not the map the step was taken from")
         except MapError as e:
             raise NoCaseAppliesError(f"reduction step {len(steps)} ({step.kind.name}): {e}", cur) from e

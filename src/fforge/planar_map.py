@@ -393,20 +393,26 @@ class PlanarMap:
             hit = cache[include_reflection] = (_encode_symbols(best), winner)
         return hit
 
-    def reads_code(self, code: bytes, include_reflection: bool = True) -> bool:
+    def reads_code(self, code: bytes, include_reflection: bool = True, start=None) -> bool:
         """Whether some labeling walk of this map reads ``code`` in full.
 
         A code's symbols are the vertex count, the face-size prefix, then
-        the walk.  Only starts with that prefix and the code's corner sizes
-        (``_corner_sizes``) are walked, each in exact mode, and the first walk
-        that reads every symbol answers True; with ``include_reflection`` the
-        mirror rotation is tried as well.  A walk encodes the whole map, so
-        True proves this map isomorphic to the code's map, but not that the
-        code is minimal: nothing is cached.
+        the walk.  ``start``, a ``(dart, reflected)`` pair that should read
+        the code, is walked first, in exact mode and before any face table
+        is read; its prefix is checked by tracing its two faces.  If it is
+        missing or fails, only starts with the code's prefix and corner
+        sizes (``_corner_sizes``) are walked, each in exact mode, and the
+        first walk that reads every symbol answers True.  The mirror
+        rotation, and a reflected ``start``, are tried only with
+        ``include_reflection``.  A walk encodes the whole map, so True
+        proves this map isomorphic to the code's map, but not that the code
+        is minimal: nothing is cached.
         """
         symbols = _decode_symbols(code)
         if len(symbols) != 3 + self.num_darts or symbols[0] != self.num_vertices:
             return False
+        if start is not None and (include_reflection or not start[1]) and self._reads_from(symbols, *start):
+            return True
         fo, fs, twin = self.face_of, self.face_sizes, self._twin
         corners, prv = _corner_sizes(symbols), _standard_rotation(self.num_darts, 2)
         for sigma, refl in self._orientations(include_reflection):
@@ -420,6 +426,25 @@ class PlanarMap:
                 ):
                     return True
         return False
+
+    def _reads_from(self, symbols: Sequence[int], d0: int, reflected: bool) -> bool:
+        """Whether the walk from ``d0``, in the mirror rotation if
+        ``reflected``, reads ``symbols``, prefix and all."""
+        if not 0 <= d0 < self.num_darts:
+            return False
+        sigma = _standard_rotation(self.num_darts, 2 if reflected else 1)
+        if self._code_symbols(sigma, d0, symbols, exact=True) is None:
+            return False
+        nxt, twin = self._next, self._twin
+
+        def face_size(d):
+            e, size = nxt[twin[d]], 1
+            while e != d:
+                e, size = nxt[twin[e]], size + 1
+            return size
+
+        sizes = (face_size(d0), face_size(twin[d0]))
+        return (sizes[::-1] if reflected else sizes) == tuple(symbols[1:3])
 
     def canonical_code(self, include_reflection: bool = True) -> bytes:
         """Byte string identifying the isomorphism class of this map.

@@ -23,14 +23,18 @@ checked locally.
 Labeling contract: ``truncate`` keeps every dart id of its input and appends
 M1 and M2 as the last two vertices; ``straighten`` drops the edge's two
 endpoints and shifts every later vertex id down, so it gives back a
-truncation's input dart for dart.  ``growth._canonical_site`` breaks ties
-between automorphic starts by raw dart id, so reduction traces depend on
-these labels.
+truncation's input dart for dart, and reports that shift as its
+``relabel`` list.  ``growth._canonical_site`` breaks ties between
+automorphic starts by raw dart id, so reduction traces depend on these
+labels.  The reduction also relies on both to carry the start of a code's
+walk across a step (``growth._carried_start``): a dart that survives a
+straightening keeps its place, through ``relabel``, in the truncation that
+rebuilds the map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .planar_map import MapError, NonCubicError, PlanarMap
@@ -83,13 +87,16 @@ class EdgeRef:
 class TruncationResult:
     map: PlanarMap
     new_edge: EdgeRef
-    new_face: int
 
 
 @dataclass(frozen=True)
 class StraighteningResult:
+    """``relabel[x]`` is the id in ``map`` of the input's dart ``x``, for
+    ``x`` at a vertex that survives."""
+
     map: PlanarMap
     inverse_site: TruncationSite
+    relabel: list[int] = field(compare=False, repr=False)
 
 
 def _flank_darts(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
@@ -152,8 +159,7 @@ def truncate(m: PlanarMap, site: TruncationSite) -> TruncationResult:
     # to M1, to nxt), in counterclockwise order
     twin += (d_in, n + 4, w0_prev, d_out, n + 1, nxt_ws)
     twin[d_in], twin[w0_prev], twin[d_out], twin[nxt_ws] = n, n + 2, n + 3, n + 5
-    out = PlanarMap(twin, _validated=True)
-    return TruncationResult(out, EdgeRef(n + 1), out.face_of[n + 4])
+    return TruncationResult(PlanarMap(twin, _validated=True), EdgeRef(n + 1))
 
 
 def three_belt_through(m: PlanarMap, fp: int, fq: int) -> Optional[int]:
@@ -202,15 +208,15 @@ def straighten(m: PlanarMap, edge: EdgeRef) -> StraighteningResult:
     if b1 in m.neighbors(a1) or b2 in m.neighbors(a2) or {a1, b1} == {a2, b2}:
         raise NonCubicError("straightening would make a parallel edge")
     lo, hi = sorted((d // 3, td // 3))
-
-    def relabel(x: int) -> int:
-        return x - 3 * ((x // 3 > lo) + (x // 3 > hi))
-
-    out = PlanarMap([relabel(twin[x]) for x in range(m.num_darts) if x // 3 not in (lo, hi)], _validated=True)
+    n = m.num_darts
+    # every later vertex shifts down; lo's and hi's own darts keep no id
+    relabel = [*range(3 * lo), -1, -1, -1, *range(3 * lo, 3 * hi - 3), -1, -1, -1, *range(3 * hi - 3, n - 6)]
+    kept = twin[:3 * lo] + twin[3 * lo + 3:3 * hi] + twin[3 * hi + 3:]
+    out = PlanarMap(list(map(relabel.__getitem__, kept)), _validated=True)
     # the inverse run starts past the deleted edge's two ends along fq
-    start = relabel(m.face_next(m.face_next(td)))
+    start = relabel[m.face_next(m.face_next(td))]
     site = TruncationSite(out.face_of[start], start, m.face_sizes[fq] - 3)
-    return StraighteningResult(out, site)
+    return StraighteningResult(out, site, relabel)
 
 
 def enumerate_sites(

@@ -267,7 +267,7 @@ class TestEnumerate:
             torus = [n + 3 * (3 + j) + i for i in range(3) for j in range(3)]
             torus += [n + 3 * i + j for j in range(3) for i in range(3)]
             broken = PlanarMap(res.map._twin + tuple(torus), _validated=True)
-            return TruncationResult(broken, res.new_edge, res.new_face)
+            return TruncationResult(broken, res.new_edge)
 
         monkeypatch.setattr(growth, "truncate", broken)
         with pytest.raises(DisconnectedError):

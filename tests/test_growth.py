@@ -419,7 +419,7 @@ class TestSequenceSearch:
                     image = _canonicalize(raw)
                     got = _sequence_search(image, KIND_CHAINS[op], _SOURCE_CLASSES[op], None)
                     assert got is not None
-                    pred, sites = got
+                    pred, sites, _ = got
                     assert pred.num_faces == image.num_faces - len(KIND_CHAINS[op])
                     step = GrowthStep(op, ("trunc", sites), image.canonical_code())
                     out = replay_step(pred, step)
@@ -700,7 +700,7 @@ class TestReplayStep:
         code = cut.map.canonical_code()
         for dart, s in ((cut.new_edge.dart, 1), (cut.map.twin(cut.new_edge.dart), 2)):
             back = straighten(cut.map, EdgeRef(dart))
-            pred, csite = _canonical_site(back.map, back.inverse_site)
+            pred, csite, _, _ = _canonical_site(back.map, back.inverse_site)
             assert csite[0] == s
             step = GrowthStep(GrowthOpKind.T155, ("trunc", (csite,)), code)
             if s == 1:
@@ -843,6 +843,81 @@ def test_every_recorded_sub_site_matches_its_truncation(regime, c60, corpus_trac
                     checked += 1
             m = replay_step(m, step)
     assert checked >= 200
+
+
+class TestCarriedStart:
+    """The reduction hands each truncation step's walk test the start from
+    which the step's result reads its code, so the check is one walk."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Each walk test, as (start, [whether each exact-mode walk read the code])."""
+        tests = []
+        real_reads, real_walk = PlanarMap.reads_code, PlanarMap._code_symbols
+
+        def reads(self, code, include_reflection=True, start=None):
+            tests.append((start, []))
+            return real_reads(self, code, include_reflection, start)
+
+        def walk(self, sigma, d0, best, exact=False):
+            got = real_walk(self, sigma, d0, best, exact)
+            if exact:
+                tests[-1][1].append(got is not None)
+            return got
+
+        monkeypatch.setattr(PlanarMap, "reads_code", reads)
+        monkeypatch.setattr(PlanarMap, "_code_symbols", walk)
+        return tests
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_one_walk_per_truncation_step(self, regime, monkeypatch, trace_corpus, c60):
+        """On the trace corpus and C60, every truncation step carries a start
+        whose one walk reads the code; only the cap steps scan."""
+        tests = self._spy(monkeypatch)
+        for m in trace_corpus + [c60]:
+            tests.clear()
+            trace = reduce_to_dodecahedron(m, regime)
+            kinds = [step.site[0] for step in reversed(trace.steps)]
+            assert [start is not None for start, _ in tests] == [k == "trunc" for k in kinds]
+            assert all(walks == [True] for start, walks in tests if start is not None)
+
+    def test_a_wrong_start_passes_through_the_scan(self, monkeypatch, oracle5):
+        """A step whose start is forged to another dart fails its walk, and
+        the scan then finds the code: the trace is unchanged."""
+        from fforge import growth
+
+        m = oracle5.entries[oracle5.fullerene_codes()[5][1]].map
+        honest = reduce_to_dodecahedron(m, Regime.SEVEN).to_jsonl()
+        real = growth.reduce_once
+
+        def forged_once(cur, regime):
+            pred, step = real(cur, regime)
+            d, refl = step.start
+            return pred, dataclasses.replace(step, start=((d + 1) % cur.num_darts, refl))
+
+        monkeypatch.setattr(growth, "reduce_once", forged_once)
+        tests = self._spy(monkeypatch)
+        assert reduce_to_dodecahedron(m, Regime.SEVEN).to_jsonl() == honest
+        missed = [walks for _, walks in tests if not walks[0]]
+        assert missed and all(walks[-1] and len(walks) > 1 for walks in missed)
+
+    @pytest.mark.slow
+    def test_every_fullerene_to_p6_12_reduces_in_every_regime(self, monkeypatch):
+        """The constructive half of the theorem at a larger size: each of the
+        226 fullerenes of the seven closure to p6 = 12 reduces in all three
+        regimes, its trace replays to its code, and no truncation step's
+        check falls back to the scan."""
+        fullerenes = enumerate_closure(EnumerationJob(Regime.SEVEN, 12)).sorted_fullerenes()
+        assert len(fullerenes) == 226
+        tests = self._spy(monkeypatch)
+        for m in fullerenes:
+            for regime in Regime:
+                tests.clear()
+                trace = reduce_to_dodecahedron(m, regime)
+                carried = [walks for start, walks in tests if start is not None]
+                assert len(carried) == sum(step.site[0] == "trunc" for step in trace.steps)
+                assert all(walks == [True] for walks in carried)
+                assert replay_trace(trace).canonical_code() == m.canonical_code()
 
 
 # sha256 of each closure fixture's (code, parent, step) records in code order

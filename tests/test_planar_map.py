@@ -334,6 +334,49 @@ class TestWalkTest:
                 assert mirror.reads_code(_code(e.map, False), True)
         assert chiral
 
+    def test_without_reflection_a_reflected_start_is_ignored(self, gen_seven, monkeypatch):
+        """A chiral map's mirror reads the map's oriented code from the mirror
+        of its winning start in the mirror rotation: with reflection that
+        start is one walk, without it no walk uses the mirror rotation."""
+        walks = []
+        real = PlanarMap._code_symbols
+
+        def spy(self, sigma, d0, best, exact=False):
+            if exact:
+                walks.append((sigma == self._next, d0))
+            return real(self, sigma, d0, best, exact)
+
+        monkeypatch.setattr(PlanarMap, "_code_symbols", spy)
+        chiral = 0
+        for e in gen_seven.entries.values():
+            code = _code(e.map, False)
+            mirror = helpers.mirrored(e.map)
+            if _code(mirror, False) == code:
+                continue
+            chiral += 1
+            d0 = PlanarMap(e.map._twin)._canonical(False)[1][0]
+            start = (3 * (d0 // 3) + (3 - d0 % 3) % 3, True)
+            walks.clear()
+            assert mirror.reads_code(code, True, start)
+            assert walks == [(False, start[0])]
+            walks.clear()
+            assert not mirror.reads_code(code, False, start)
+            assert all(unreflected for unreflected, _ in walks)
+        assert chiral
+
+    def test_a_start_must_read_the_prefix_too(self, gen_seven):
+        """A start whose walk reads the code's walk symbols answers True only
+        if its two faces have the code's face-size prefix; a start that names
+        no dart leaves the answer to the scan."""
+        for e in gen_seven.entries.values():
+            d0, _, refl = PlanarMap(e.map._twin)._canonical(True)[1]
+            code = e.code
+            assert e.map.reads_code(code, start=(d0, refl))
+            assert e.map.reads_code(code, start=(e.map.num_darts, refl))
+            for i in (1, 2):
+                bad = code[:i] + bytes([code[i] + 1]) + code[i + 1:]
+                assert not e.map.reads_code(bad, start=(d0, refl))
+
     def test_rejects_codes_of_the_wrong_length(self, gen_seven):
         for e in gen_seven.entries.values():
             code = _code(e.map)

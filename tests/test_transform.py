@@ -47,7 +47,7 @@ class TestTruncate:
         res = truncate(k4, TruncationSite(k4.face_of[0], 0, 0))
         pv = p_vector(res.map)
         assert res.map.num_vertices == 6
-        assert res.map.face_sizes[res.new_face] == 3
+        assert res.map.face_sizes[res.map.face_of[res.map.twin(res.new_edge.dart)]] == 3
         assert dict(pv.items()) == {3: 2, 4: 3}
 
     def test_edge_cut_dodecahedron(self, dodeca):
@@ -244,7 +244,7 @@ def test_straighten_outcomes_are_pinned(rewrite_maps):
 def test_truncate_outcomes_are_pinned(rewrite_maps):
     def run(m, site):
         r = truncate(m, site)
-        return [r.map.canonical_code().hex(), r.map.face_sizes[r.new_face]]
+        return [r.map.canonical_code().hex(), r.map.face_sizes[r.map.face_of[r.map.twin(r.new_edge.dart)]]]
 
     records = []
     failures = set()
