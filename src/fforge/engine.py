@@ -182,7 +182,7 @@ def enumerate_closure(job: EnumerationJob) -> GeneratedSet:
             batch, frontier = sorted(frontier, key=lambda it: (it[1].num_faces, it[0]), reverse=True), []
             while batch:
                 parent_code, parent = batch.pop()
-                for kind, payload, raw in successor_candidates(parent, job.regime, max_faces):
+                for kind, payload, raw in successor_candidates(parent, job.regime, max_faces, refl):
                     cls = classify_shape(raw)
                     if cls not in _REGIME_CLASSES[job.regime]:
                         continue
@@ -486,6 +486,7 @@ def _cmd_validate(args) -> int:
             report = {
                 "index": i, "vertices": m.num_vertices, "p_vector": dict(pv.items()),
                 "polytopal": poly, "class": cls, "belts": belts,
+                "automorphisms": len(m.automorphisms()),
             }
             print(json.dumps(report))
             if not poly:

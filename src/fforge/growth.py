@@ -757,18 +757,58 @@ def _carried_start(c: PlanarMap, d: int, relabel, x: PlanarMap, csite, dmap, ref
 # ----------------------------------------------------------------------
 
 
-def _chain_successors(m: PlanarMap, kind: GrowthOpKind):
+def _cut_key(s: int, run: Sequence[int], twin) -> object:
+    """What a cut of ``s`` run darts (its start dart for s = 0) cuts: the
+    vertex for s = 0, the undirected edge for s = 1 (as ``enumerate_sites``
+    reports it once), else the set of run darts."""
+    if s == 0:
+        return run[0] // 3
+    return min(run[0], twin[run[0]]) if s == 1 else frozenset(run)
+
+
+def _one_per_orbit(m: PlanarMap, sites: Sequence[TruncationSite], automorphisms):
+    """The sites that no automorphism maps an earlier one to.  A reversing
+    automorphism phi sends a run dart x to twin(phi(x)), the mirrored
+    anchor ``_canonical_site`` uses: phi maps the face left of x to the face
+    right of phi(x)."""
+    if len(automorphisms) == 1:
+        return sites
+    twin, covered, kept = m._twin, set(), []
+    for site in sites:
+        run = [site.start_dart]
+        for _ in range(site.s - 1):
+            run.append(m.face_next(run[-1]))
+        if _cut_key(site.s, run, twin) in covered:
+            continue
+        kept.append(site)
+        for phi, reversing in automorphisms:
+            image = [phi[x] for x in run]
+            if reversing and site.s:
+                image = [twin[y] for y in image]
+            covered.add(_cut_key(site.s, image, twin))
+    return kept
+
+
+def _chain_successors(m: PlanarMap, kind: GrowthOpKind, include_reflection: bool = True):
     """Chains of truncations realizing a truncation kind.
 
-    The first cut runs over all matching sites; later cuts are anchored by
-    their signature to the unique exceptional face the chain created.
+    The first cut runs over one matching site per orbit of ``m``'s
+    automorphism group, the first in ``enumerate_sites`` order; only the
+    orientation-preserving automorphisms count without
+    ``include_reflection``, where a mirror image is a class of its own.  A
+    dropped site's chains are those of its representative, which comes
+    earlier, up to that automorphism: later maps are canonicalized, so
+    their subtrees are identical.  Later cuts run over every site and are
+    anchored by their signature to the unique exceptional face the chain
+    created.
     """
     seq = KIND_CHAINS[kind]
 
     def rec(cur: PlanarMap, idx: int, acc: tuple):
         k0 = seq[idx]
         s, k, m1, m2 = KIND_SIGNATURES[k0]
-        for site in enumerate_sites(cur, s=s, k=k, m1=m1, m2=m2):
+        sites = enumerate_sites(cur, s=s, k=k, m1=m1, m2=m2)
+        for site in sites if idx else _one_per_orbit(cur, sites, cur.automorphisms(include_reflection)):
             raw = truncate(cur, site).map
             payload = acc + ((site.s, site.start_dart),)
             if idx + 1 == len(seq):
@@ -787,14 +827,17 @@ def _cap_successors(m: PlanarMap, kinds):
             yield kind, ("cap", fam, k), builder(k + 1)
 
 
-def successor_candidates(m: PlanarMap, regime: Regime, max_faces: int):
-    """All (kind, step payload, raw result) growth moves from a canonical map
+def successor_candidates(m: PlanarMap, regime: Regime, max_faces: int, include_reflection: bool = True):
+    """The (kind, step payload, raw result) growth moves from a canonical map
     whose result has at most ``max_faces`` faces (the closure to ``max_p6``
-    hexagons passes ``12 + max_p6``).
+    hexagons passes ``12 + max_p6``), one per orbit of first cuts.
 
     A map outside the regime's classes has no successors.  A kind is tried
     only when the map is in its source classes and its face gain fits the
-    bound.  Results are not class-filtered; the enumeration engine owns that.
+    bound.  ``include_reflection`` is the closure's flag; the pruning keeps
+    every class the full set of moves reaches, and the first move into it
+    (``_chain_successors``).  Results are not class-filtered; the
+    enumeration engine owns that.
     """
     cls = classify_shape(m)
     if cls not in _REGIME_CLASSES[regime]:
@@ -809,7 +852,7 @@ def successor_candidates(m: PlanarMap, regime: Regime, max_faces: int):
         yield from _cap_successors(m, kinds)
     for kind in kinds:
         if kind in KIND_CHAINS:
-            yield from _chain_successors(m, kind)
+            yield from _chain_successors(m, kind, include_reflection)
 
 
 def reduce_to_dodecahedron(m: PlanarMap, regime: Regime) -> DerivationTrace:

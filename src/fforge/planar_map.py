@@ -400,9 +400,11 @@ class PlanarMap:
         the walk.  ``start``, a ``(dart, reflected)`` pair that should read
         the code, is walked first, in exact mode and before any face table
         is read; its prefix is checked by tracing its two faces.  If it is
-        missing or fails, only starts with the code's prefix and corner
-        sizes (``_corner_sizes``) are walked, each in exact mode, and the
-        first walk that reads every symbol answers True.  The mirror
+        missing or fails, the first start of the scan ``_reading_starts``
+        answers: only starts with the code's prefix and corner sizes
+        (``_corner_sizes``) are walked, each in exact mode, and the first
+        walk that reads every symbol answers True.  The same scan, run to its
+        end against the map's own code, gives ``automorphisms``.  The mirror
         rotation, and a reflected ``start``, are tried only with
         ``include_reflection``.  A walk encodes the whole map, so True
         proves this map isomorphic to the code's map, but not that the code
@@ -413,6 +415,13 @@ class PlanarMap:
             return False
         if start is not None and (include_reflection or not start[1]) and self._reads_from(symbols, *start):
             return True
+        return next(self._reading_starts(symbols, include_reflection), None) is not None
+
+    def _reading_starts(self, symbols: Sequence[int], include_reflection: bool):
+        """Each ``(dart, reflected)`` start whose walk reads ``symbols``, a
+        code of this map's size, in full: the starts with the code's prefix
+        and corner sizes are walked in exact mode, unreflected darts in dart
+        order first, then with ``include_reflection`` the mirrored ones."""
         fo, fs, twin = self.face_of, self.face_sizes, self._twin
         corners, prv = _corner_sizes(symbols), _standard_rotation(self.num_darts, 2)
         for sigma, refl in self._orientations(include_reflection):
@@ -424,8 +433,33 @@ class PlanarMap:
                     and (fs[fo[prv[d]]], fs[fo[prv[twin[d]]]]) == corners
                     and self._code_symbols(sigma, d, symbols, exact=True) is not None
                 ):
-                    return True
-        return False
+                    yield d, refl
+
+    def automorphisms(self, include_reflection: bool = True) -> tuple[tuple[tuple[int, ...], bool], ...]:
+        """The automorphism group, as ``(dart map, reversing)`` pairs, computed
+        once per flag; without ``include_reflection``, only the
+        orientation-preserving ones.
+
+        The group comes from an exact scan of the map against its own code:
+        each start d that reads the code gives phi = psi_w^-1 . psi_d, where
+        psi_x is the relabeling from x and w the winning start, and phi
+        reverses orientation exactly when d and w differ in reflection.
+        ``dart map[x]`` keeps x's source and target; a reversing phi maps the
+        face left of x to the face right of its image.
+        """
+        cache = self._aut_cache
+        hit = cache.get(include_reflection)
+        if hit is None:
+            code, (w, sigma, w_refl) = self._canonical(include_reflection)
+            n = self.num_darts
+            inv = [0] * n
+            for old, new in enumerate(self._relabeling(w, sigma)):
+                inv[new] = old
+            hit = cache[include_reflection] = tuple(
+                (tuple(inv[x] for x in self._relabeling(d, _standard_rotation(n, 2 if refl else 1))), refl != w_refl)
+                for d, refl in self._reading_starts(_decode_symbols(code), include_reflection)
+            )
+        return hit
 
     def _reads_from(self, symbols: Sequence[int], d0: int, reflected: bool) -> bool:
         """Whether the walk from ``d0``, in the mirror rotation if
@@ -457,6 +491,10 @@ class PlanarMap:
 
     @cached_property
     def _code_cache(self) -> dict:
+        return {}
+
+    @cached_property
+    def _aut_cache(self) -> dict:
         return {}
 
     def canonical_form(self, include_reflection: bool = True) -> tuple["PlanarMap", list[int], bool]:

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from fforge import build_dodecahedron
@@ -46,3 +48,12 @@ def c60():
 def family_maps(gen_seven):
     """Canonical maps of every class reached by the truncation closure."""
     return [e.map for e in gen_seven.entries.values()]
+
+
+@pytest.fixture(scope="session")
+def closure():
+    """``closure(regime, max_p6, include_reflection)``: that closure, run
+    once per session."""
+    return functools.cache(
+        lambda regime, max_p6, refl: enumerate_closure(EnumerationJob(regime, max_p6, include_reflection=refl))
+    )

@@ -5,7 +5,8 @@ patch machinery; these are direct transcriptions of the definitions, a
 generic matcher of face-labeled templates (the C1/C2 caps and the P1/P2
 patches) that referees the package's direct P1/P2 placement, and a search
 of every 6-loop of faces that referees the package's (1,3,1,3,1,3)-loop
-tracer.
+tracer, and a successor walker that cuts every site, the referee of the
+closure's one first cut per automorphism orbit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,18 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from fforge import PlanarMap
+from fforge import PlanarMap, classify_shape, enumerate_sites, truncate
+from fforge.growth import (
+    _FACE_GAIN,
+    _REGIME_CLASSES,
+    _REGIME_KINDS,
+    _SOURCE_CLASSES,
+    KIND_CHAINS,
+    KIND_SIGNATURES,
+    GrowthOpKind,
+    Regime,
+    _cap_successors,
+)
 
 
 def maps_isomorphic(m1: PlanarMap, m2: PlanarMap, reflect: bool = True) -> bool:
@@ -351,6 +363,47 @@ def code_symbols_referee(m: PlanarMap, sigma, d0: int, best, exact: bool = False
                     improving = True
             d = sigma[d]
     return out
+
+
+def unpruned_successors(m: PlanarMap, regime: Regime, max_faces: int):
+    """``growth.successor_candidates`` without its orbit pruning: every
+    chain cuts every ``enumerate_sites`` site at every level, in the same
+    order, and the caps come first.  The referee of that pruning, which may
+    drop a move only when an earlier kept move reaches the same class."""
+    cls = classify_shape(m)
+    if cls not in _REGIME_CLASSES[regime]:
+        return
+    kinds = [
+        k for k in _REGIME_KINDS[regime]
+        if cls in _SOURCE_CLASSES[k] and m.num_faces + _FACE_GAIN[k] <= max_faces
+    ]
+    if GrowthOpKind.A1 in kinds or GrowthOpKind.A2 in kinds:
+        yield from _cap_successors(m, kinds)
+
+    def walk(kind, cur, chain, acc):
+        s, k, m1, m2 = KIND_SIGNATURES[chain[0]]
+        for site in enumerate_sites(cur, s=s, k=k, m1=m1, m2=m2):
+            raw = truncate(cur, site).map
+            payload = acc + ((s, site.start_dart),)
+            if len(chain) == 1:
+                yield kind, ("trunc", payload), raw
+            else:
+                yield from walk(kind, raw.canonical_form()[0], chain[1:], payload)
+
+    for kind in kinds:
+        if kind in KIND_CHAINS:
+            yield from walk(kind, m, KIND_CHAINS[kind], ())
+
+
+def nx_automorphisms(m: PlanarMap) -> list[dict[int, int]]:
+    """The automorphisms of ``m``'s graph as vertex maps, by networkx's VF2
+    matcher; for a 3-connected map these are its map automorphisms,
+    reflections included (Whitney)."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    g = nx.Graph((d // 3, m.twin(d) // 3) for d in m.edges)
+    return list(GraphMatcher(g, g).isomorphisms_iter())
 
 
 # ----------------------------------------------------------------------

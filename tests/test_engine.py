@@ -504,6 +504,17 @@ class TestCli:
                  if ln.startswith("{")]
         assert all(rec["polytopal"] for rec in lines if "polytopal" in rec)
 
+    def test_validate_reports_the_automorphism_group_order(self, tmp_path, capsys):
+        """The order of the group with reflections: 120 for the icosahedral
+        C20 and C60, 20 for D5(1), whose group is D5h."""
+        from fforge import build_D5k, build_dodecahedron, write_planar_code
+
+        src = tmp_path / "m.plc"
+        write_planar_code(src, [build_dodecahedron(), build_D5k(1), helpers.ipr_c60()])
+        assert main(["validate", str(src)]) == 0
+        records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert [rec["automorphisms"] for rec in records] == [120, 20, 120]
+
     def test_classify_belts_nanotube(self, tmp_path, capsys):
         src = tmp_path / "d5.plc"
         from fforge import build_D5k, write_planar_code

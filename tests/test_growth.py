@@ -259,6 +259,65 @@ class TestApplyGrowth:
         assert {GrowthOpKind.T145, GrowthOpKind.A1, GrowthOpKind.A2, GrowthOpKind.B3} <= seen
 
 
+class TestOrbitPruning:
+    """The closure cuts one first site per automorphism orbit of the parent;
+    ``helpers.unpruned_successors``, which cuts every site, referees it."""
+
+    def test_the_dodecahedron_has_one_edge_orbit(self, dodeca):
+        from fforge.growth import successor_candidates
+
+        m = _canonicalize(dodeca)
+        for refl in (True, False):
+            kept = list(successor_candidates(m, Regime.SEVEN, 13, refl))
+            assert [(kind, payload) for kind, payload, _ in kept] == [(GrowthOpKind.T155, ("trunc", ((1, 0),)))]
+        assert len(list(helpers.unpruned_successors(m, Regime.SEVEN, 13))) == 30
+
+    def test_one_first_cut_is_kept_per_orbit(self, gen_seven, gen_a, gen_ab):
+        """With reflections, the first cuts kept number the orbits of
+        networkx's graph automorphisms on the sites' vertex runs: a site of
+        a 3-connected map is fixed by its run of s + 1 vertices (one for
+        s = 0)."""
+        from fforge.growth import KIND_SIGNATURES, _one_per_orbit
+
+        for gen in (gen_seven, gen_a, gen_ab):
+            for e in gen.entries.values():
+                m, autos = e.map, helpers.nx_automorphisms(e.map)
+                for s, k, m1, m2 in KIND_SIGNATURES.values():
+                    sites = enumerate_sites(m, s=s, k=k, m1=m1, m2=m2)
+                    runs = []
+                    for site in sites:
+                        run = [site.start_dart]
+                        for _ in range(s):
+                            run.append(m.face_next(run[-1]))
+                        runs.append({d // 3 for d in run})
+                    orbits = {frozenset(frozenset(a[v] for v in r) for a in autos) for r in runs}
+                    assert len(_one_per_orbit(m, sites, m.automorphisms())) == len(orbits)
+
+    @pytest.mark.parametrize("refl", [True, False])
+    @pytest.mark.parametrize("regime, max_p6", [
+        (Regime.SEVEN, 8), (Regime.A_OPS, 8), (Regime.AB_OPS, 7),
+        pytest.param(Regime.SEVEN, 10, marks=pytest.mark.slow),
+        pytest.param(Regime.A_OPS, 10, marks=pytest.mark.slow),
+        pytest.param(Regime.AB_OPS, 9, marks=pytest.mark.slow),
+    ])
+    def test_pruning_keeps_every_class_and_the_first_move(self, closure, regime, max_p6, refl):
+        """Per closure entry, the kept moves reach the same (kind, class)
+        pairs as every move, with the flag's codes, and are a subsequence of
+        them; so the first move into each class, which the closure records,
+        is kept."""
+        from fforge.growth import successor_candidates
+
+        max_faces = 12 + max_p6
+        for e in closure(regime, max_p6, refl).entries.values():
+            kept = list(successor_candidates(e.map, regime, max_faces, refl))
+            every = list(helpers.unpruned_successors(e.map, regime, max_faces))
+            assert {(k, raw.canonical_code(refl)) for k, _, raw in kept} == {
+                (k, raw.canonical_code(refl)) for k, _, raw in every
+            }
+            rest = iter([(k, payload) for k, payload, _ in every])
+            assert all((k, payload) in rest for k, payload, _ in kept)
+
+
 class TestReduce:
     def test_dodecahedron_is_terminal(self, dodeca):
         with pytest.raises(AtDodecahedronError):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -278,6 +279,52 @@ class TestCanonicalForm:
             assert code[0] == 0  # the 2-byte variant
             assert PlanarMap._from_code(code)._twin == m.canonical_form(refl)[0]._twin
             assert copy.reads_code(code, refl)
+
+
+class TestAutomorphisms:
+    """``PlanarMap.automorphisms``, the group the closure prunes first cuts by."""
+
+    def test_icosahedral_groups(self, dodeca, c60):
+        for m in (dodeca, c60, relabeled(c60, 3), helpers.mirrored(dodeca)):
+            assert len(m.automorphisms()) == 120
+            assert len(m.automorphisms(False)) == 60
+
+    @pytest.mark.parametrize("regime, max_p6, exceptional", [
+        (Regime.SEVEN, 8, {4, 7}), (Regime.A_OPS, 8, {7}), (Regime.AB_OPS, 7, set()),
+    ])
+    def test_group_orders_match_networkx(self, closure, regime, max_p6, exceptional):
+        """By Whitney's theorem the graph automorphisms of a 3-connected
+        planar graph are its map automorphisms, reflections included; the
+        orientation-preserving ones are the group without reflection."""
+        maps = [e.map for e in closure(regime, max_p6, True).entries.values()]
+        sizes = {k for m in maps for k in m.face_sizes}
+        assert sizes - {5, 6} == exceptional
+        for m in maps:
+            group = m.automorphisms()
+            assert len(group) == len(helpers.nx_automorphisms(m))
+            assert len(m.automorphisms(False)) == sum(not reversing for _, reversing in group)
+
+    def test_every_element_is_an_automorphism(self, dodeca, gen_seven):
+        """Each element is a distinct dart bijection that commutes with twin
+        and with next, or for a reversing one takes next to prev; the
+        identity is among them; the group is closed under composition; on
+        maps that are not 3-connected as well."""
+        maps = [dodeca, helpers.two_edge_connected_cubic(), helpers.bridged_cubic()]
+        for m in maps + [relabeled(e.map, i) for i, e in enumerate(gen_seven.entries.values())]:
+            for refl in (True, False):
+                group = m.automorphisms(refl)
+                elements = {phi: reversing for phi, reversing in group}
+                assert len(elements) == len(group)
+                assert elements.get(tuple(range(m.num_darts))) is False
+                for phi, reversing in group:
+                    assert refl or not reversing
+                    assert sorted(phi) == list(range(m.num_darts))
+                    turn = m.prev if reversing else m.next
+                    for d in range(m.num_darts):
+                        assert phi[m.twin(d)] == m.twin(phi[d])
+                        assert phi[m.next(d)] == turn(phi[d])
+                for (a, ra), (b, rb) in itertools.product(group, repeat=2):
+                    assert elements[tuple(a[x] for x in b)] == (ra != rb)
 
 
 def _code(m: PlanarMap, include_reflection: bool = True) -> bytes:
