@@ -57,3 +57,17 @@ def closure():
     return functools.cache(
         lambda regime, max_p6, refl: enumerate_closure(EnumerationJob(regime, max_p6, include_reflection=refl))
     )
+
+
+@pytest.fixture(scope="session")
+def rewrite_maps(gen_seven, gen_a, gen_ab, c60):
+    """The closure fixtures' maps, then five helper maps: the cube, a C24
+    barrel, C60 and two cubic maps that are not 3-connected."""
+    maps = [e.map for gen in (gen_seven, gen_a, gen_ab) for e in gen.entries.values()]
+    return maps + [
+        helpers.cube_map(),
+        helpers.barrel_c24(),
+        c60,
+        helpers.two_edge_connected_cubic(),
+        helpers.bridged_cubic(),
+    ]

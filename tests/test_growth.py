@@ -823,6 +823,25 @@ class TestReplayStep:
             replay_step(quad, GrowthStep(GrowthOpKind.A2, ("cap", "F3", 0), b"\x14"))
 
 
+def test_canonical_site_cuts_the_straightened_map_back(rewrite_maps):
+    """Every straightening's inverse site, carried into the canonical form
+    by ``_canonical_site``, truncates the form back to the map that was
+    straightened; over a thousand of these forms are reflected, where the
+    site's anchor is replaced by its mirror."""
+    reflected_forms = 0
+    for m in rewrite_maps:
+        code = m.canonical_code()
+        for d in range(m.num_darts):
+            try:
+                res = straighten(m, EdgeRef(d))
+            except MapError:
+                continue
+            pred, (s, dart), _, reflected = _canonical_site(res.map, res.inverse_site)
+            assert truncate(pred, TruncationSite(pred.face_of[dart], dart, s)).map.reads_code(code)
+            reflected_forms += reflected
+    assert reflected_forms > 1000
+
+
 # sha256 of the JSONL traces that reduce C60 and the three fullerenes with
 # five hexagons, per regime.  Any change to a derivation trace fails here.
 PINNED_REDUCE_TRACES = {

@@ -196,23 +196,11 @@ class TestFlagTransitions:
 
 
 # sha256 over every dart's straightening and every fifth site (s = 0..k) of
-# each face's truncation, on the closure fixtures and the helper maps below;
-# a straightening records (twin, inverse site), a truncation the canonical
-# code and new face size, and a failure its exception type.
+# each face's truncation, on the rewrite maps (conftest); a straightening
+# records (twin, inverse site), a truncation the canonical code and new face
+# size, and a failure its exception type.
 PINNED_STRAIGHTEN = "6170ac9e91ac33ca40a4f7da2ce4c24c295058898e5d568a99a3824a7e2753a6"
 PINNED_TRUNCATE = "a54625040c9d3a4d40a167b90fe49619e6cb08f7835492f796bf5ef4dd7f5cb3"
-
-
-@pytest.fixture(scope="module")
-def rewrite_maps(gen_seven, gen_a, gen_ab, c60):
-    maps = [e.map for gen in (gen_seven, gen_a, gen_ab) for e in gen.entries.values()]
-    return maps + [
-        helpers.cube_map(),
-        helpers.barrel_c24(),
-        c60,
-        helpers.two_edge_connected_cubic(),
-        helpers.bridged_cubic(),
-    ]
 
 
 def _outcome_digest(records) -> str:
@@ -369,3 +357,20 @@ def test_three_belt_through_matches_a_full_scan(rewrite_maps):
             for d in range(copy.num_darts):
                 fp, fq = copy.face_of[d], copy.face_of[copy.twin(d)]
                 assert three_belt_through(copy, fp, fq) == helpers.three_belt_through_scan(copy, fp, fq)
+
+
+# sha256 of the (face, start_dart, s) lists enumerate_sites returns on each
+# rewrite map, for the seven truncations' signatures and for no filter
+PINNED_SITES = "7d45b12f3bd718b59127f4a67e6eacf347d5f23a58bb515daf7194b0adcc46a9"
+
+
+def test_enumerate_sites_is_pinned(rewrite_maps):
+    from fforge.growth import KIND_SIGNATURES
+
+    patterns = [*KIND_SIGNATURES.values(), (None, None, None, None)]
+    records = (
+        [[site.face, site.start_dart, site.s] for site in enumerate_sites(m, s=s, k=k, m1=m1, m2=m2)]
+        for m in rewrite_maps
+        for s, k, m1, m2 in patterns
+    )
+    assert _outcome_digest(records) == PINNED_SITES
