@@ -34,6 +34,7 @@ from .transform import (
     EdgeRef,
     ThreeBeltObstructionError,
     TruncationSite,
+    cut_key,
     enumerate_sites,
     straighten,
     truncate,
@@ -425,18 +426,14 @@ def _canonical_site(m_raw: PlanarMap, site: TruncationSite):
     ``(canonical form, (s, dart), dart_map, reflected)``, the last two as
     ``canonical_form`` gives them.
 
-    When the canonical form reflects the map, the run anchor is replaced by
-    its mirror (the walk dart entering the run from the other side), so the
-    relabeled site cuts the same vertex run.  That is the twin of the run's
-    last edge, or for s = 0 of the face edge entering the corner.
+    When the canonical form reflects the map, the run is walked from its
+    other end: the anchor becomes ``prev`` of the walk's last dart, the twin
+    of the face dart entering the run's last vertex, so the relabeled site
+    cuts the same vertex run for every s.
     """
     canon, dmap, reflected = m_raw.canonical_form()
-    if not reflected:
-        return canon, (site.s, dmap[site.start_dart]), dmap, reflected
-    t_last = site.start_dart
-    for _ in range((site.s - 1) % m_raw.face_sizes[site.face]):
-        t_last = m_raw.face_next(t_last)
-    return canon, (site.s, dmap[m_raw.twin(t_last)]), dmap, reflected
+    anchor = m_raw.prev(site.walk(m_raw)[-1]) if reflected else site.start_dart
+    return canon, (site.s, dmap[anchor]), dmap, reflected
 
 
 def apply_growth(m: PlanarMap, kind: GrowthOpKind, site=None) -> PlanarMap:
@@ -757,35 +754,20 @@ def _carried_start(c: PlanarMap, d: int, relabel, x: PlanarMap, csite, dmap, ref
 # ----------------------------------------------------------------------
 
 
-def _cut_key(s: int, run: Sequence[int], twin) -> object:
-    """What a cut of ``s`` run darts (its start dart for s = 0) cuts: the
-    vertex for s = 0, the undirected edge for s = 1 (as ``enumerate_sites``
-    reports it once), else the set of run darts."""
-    if s == 0:
-        return run[0] // 3
-    return min(run[0], twin[run[0]]) if s == 1 else frozenset(run)
-
-
 def _one_per_orbit(m: PlanarMap, sites: Sequence[TruncationSite], automorphisms):
-    """The sites that no automorphism maps an earlier one to.  A reversing
-    automorphism phi sends a run dart x to twin(phi(x)), the mirrored
-    anchor ``_canonical_site`` uses: phi maps the face left of x to the face
-    right of phi(x)."""
+    """The sites whose cut no automorphism maps an earlier site's cut to.
+    A cut is its ``cut_key``, which an automorphism maps to its image's key
+    whether or not it reverses orientation."""
     if len(automorphisms) == 1:
         return sites
-    twin, covered, kept = m._twin, set(), []
+    covered, kept = set(), []
     for site in sites:
-        run = [site.start_dart]
-        for _ in range(site.s - 1):
-            run.append(m.face_next(run[-1]))
-        if _cut_key(site.s, run, twin) in covered:
+        walk = site.walk(m)
+        if cut_key([x // 3 for x in walk]) in covered:
             continue
         kept.append(site)
-        for phi, reversing in automorphisms:
-            image = [phi[x] for x in run]
-            if reversing and site.s:
-                image = [twin[y] for y in image]
-            covered.add(_cut_key(site.s, image, twin))
+        # phi keeps each dart's source, so it maps the run's vertices
+        covered.update(cut_key([phi[x] // 3 for x in walk]) for phi, _ in automorphisms)
     return kept
 
 

@@ -35,7 +35,7 @@ rebuilds the map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .planar_map import MapError, NonCubicError, PlanarMap
 
@@ -69,6 +69,14 @@ class TruncationSite:
     start_dart: int
     s: int
 
+    def walk(self, m: PlanarMap) -> list[int]:
+        """The s + 1 face darts from ``start_dart``: their sources are the
+        run's vertices, and the last dart leaves the run."""
+        walk = [self.start_dart]
+        for _ in range(self.s):
+            walk.append(m.face_next(walk[-1]))
+        return walk
+
     def signature(self, m: PlanarMap) -> tuple[int, int, int, int]:
         """(s, k, m1, m2) with the side-face sizes read from the map."""
         k = m.face_sizes[self.face]
@@ -99,27 +107,26 @@ class StraighteningResult:
     relabel: list[int] = field(compare=False, repr=False)
 
 
-def _flank_darts(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
-    """The face darts into the run's first vertex and out of its last."""
-    d_in = m.twin(m.prev(site.start_dart))
-    d_out = site.start_dart
-    for _ in range(site.s):
-        d_out = m.face_next(d_out)
-    return d_in, d_out
+def cut_key(vertices: Sequence[int]) -> tuple[int, ...]:
+    """The cut at a run of vertices, named by its vertex path read in either
+    direction.  A vertex (s = 0) or an edge (s = 1) is the same cut from every
+    face at it; in a cubic map each corner lies in one face, so a longer run
+    is fixed by its path.  No orientation enters, so an automorphism sends a
+    cut's key to its image's key whether or not it reverses orientation."""
+    path = tuple(vertices)
+    return min(path, path[::-1])
 
 
 def _run_darts(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
-    """``_flank_darts`` of a site; InvalidSiteError unless its run of
-    vertices can be cut off."""
+    """The face darts into the run's first vertex and out of its last;
+    InvalidSiteError unless its run of vertices can be cut off."""
     if m.face_of[site.start_dart] != site.face:
         raise InvalidSiteError("start dart is not on the site face")
     k = m.face_sizes[site.face]
     if not (0 <= site.s <= k - 2):
         raise InvalidSiteError(f"s = {site.s} out of range for a {k}-gon")
-    d_in, d_out = _flank_darts(m, site)
-    walk = [site.start_dart]
-    for _ in range(site.s):
-        walk.append(m.face_next(walk[-1]))
+    walk = site.walk(m)
+    d_in, d_out = m.twin(m.prev(walk[0])), walk[-1]
     w = [m.source(d) for d in walk]
     prev_v, nxt_v = m.source(d_in), m.target(d_out)
     wset = set(w)
@@ -136,11 +143,11 @@ def _run_darts(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
 
 
 def side_face_sizes(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
-    """Sizes of the two faces meeting the site face along the flanking edges."""
-    d_in, d_out = _flank_darts(m, site)
-    m1 = m.face_sizes[m.face_of[m.twin(d_in)]]
-    m2 = m.face_sizes[m.face_of[m.twin(d_out)]]
-    return m1, m2
+    """Sizes of the two faces meeting the site face along the flanking edges,
+    across its darts into the run (the twin of ``prev(start_dart)``) and out
+    of it (the walk's last dart)."""
+    fs, fo = m.face_sizes, m.face_of
+    return fs[fo[m.prev(site.start_dart)]], fs[fo[m.twin(site.walk(m)[-1])]]
 
 
 def truncate(m: PlanarMap, site: TruncationSite) -> TruncationResult:
@@ -229,12 +236,14 @@ def enumerate_sites(
     """All truncation sites matching the (s, k; m1, m2) pattern.
 
     ``None`` entries are wildcards and the side sizes match unordered, so
-    one given side size matches a site with that size on either side.  Edge
-    cuts (s = 1) are reported once per edge, corner cuts (s = 0) once per
-    vertex; longer runs once per directed run of the host face walk.
+    one given side size matches a site with that size on either side.  Each
+    cut is reported once, from the first face in face order whose site
+    matches: a corner (s = 0) and an edge (s = 1) are the same ``cut_key``
+    from every face at them, a longer run once per directed run of its host
+    face walk.
     """
     out = []
-    seen_anchors = set()
+    reported = set()  # cut_key of each corner and edge cut in out
     s_values = range(0, max(m.face_sizes) - 1) if s is None else [s]
     for sv in s_values:
         for f, cyc in enumerate(m.faces):
@@ -245,21 +254,14 @@ def enumerate_sites(
                 continue
             for d in cyc:
                 site = TruncationSite(f, d, sv)
-                if sv == 0:
-                    anchor = (0, m.source(d))
-                elif sv == 1:
-                    anchor = (1, min(d, m.twin(d)))
-                else:
-                    anchor = None
-                if anchor is not None:
-                    if anchor in seen_anchors:
-                        continue
-                    seen_anchors.add(anchor)
                 if m1 is not None or m2 is not None:
                     a, b = side_face_sizes(m, site)
                     if not (m1 in (None, a) and m2 in (None, b) or m1 in (None, b) and m2 in (None, a)):
-                        if anchor is not None:
-                            seen_anchors.discard(anchor)
                         continue
+                if sv <= 1:
+                    key = cut_key([x // 3 for x in site.walk(m)])
+                    if key in reported:
+                        continue
+                    reported.add(key)
                 out.append(site)
     return out
