@@ -142,8 +142,9 @@ class GrowthStep:
     labeling of the map each sub-truncation acts on, or ("cap", family, k)
     for a layer insertion into that family's map with k layers.  ``start``,
     set by the reduction and never serialized, is the ``(dart, reflected)``
-    start from which the step's result reads ``code`` (see
-    ``_carried_start``).
+    start from which the step's result reads ``code``: ``_carried_start``
+    of a truncation step, the winning start of the built family map
+    (``_family_code``) for a cap step.
     """
 
     kind: GrowthOpKind
@@ -325,8 +326,11 @@ _FACE_GAIN: dict[GrowthOpKind, int] = {
 
 
 @cache
-def _family_code(fam: str, k: int) -> bytes:
-    return _CAPS[fam][1](k).canonical_code()
+def _family_code(fam: str, k: int) -> tuple[bytes, tuple[int, bool]]:
+    """The canonical code of the family map with k layers, and the
+    ``(dart, reflected)`` start from which the builder's map reads it."""
+    code, (d0, _, reflected) = _CAPS[fam][1](k)._canonical(True)
+    return code, (d0, reflected)
 
 
 def recognize_nanotube(m: PlanarMap) -> list[tuple[str, int]]:
@@ -343,7 +347,7 @@ def recognize_nanotube(m: PlanarMap) -> list[tuple[str, int]]:
     refl = True in m._code_cache or False not in m._code_cache
     return [
         (fam, pv[6] // layer) for fam, (_, _, layer) in _CAPS.items()
-        if pv[6] % layer == 0 and _family_code(fam, pv[6] // layer) == m.canonical_code(refl)
+        if pv[6] % layer == 0 and _family_code(fam, pv[6] // layer)[0] == m.canonical_code(refl)
     ]
 
 
@@ -605,7 +609,7 @@ def _candidate_darts(m: PlanarMap, kind: GrowthOpKind):
 
 
 def _dodecahedron_code() -> bytes:
-    return _family_code("D5", 0)
+    return _family_code("D5", 0)[0]
 
 
 def reduce_once(m: PlanarMap, regime: Regime) -> tuple[PlanarMap, GrowthStep]:
@@ -663,7 +667,9 @@ def _reduce_adjacent_pentagons(m: PlanarMap, code: bytes):
     starts at its edge between faces 0 and 1."""
     for fam, k in recognize_nanotube(m):  # k > 0: reduce_once has refused C20
         op, builder, _ = _CAPS[fam]
-        return _canonicalize(builder(k - 1)), GrowthStep(op, ("cap", fam, k - 1), code)
+        # replay builds the family map with k layers, which reads m's code
+        step = GrowthStep(op, ("cap", fam, k - 1), code, _family_code(fam, k)[1])
+        return _canonicalize(builder(k - 1)), step
     for patch, kind in ((Fragment.P1, GrowthOpKind.A4), (Fragment.P2, GrowthOpKind.A3)):
         patches = find_fragments(m, patch)
         if not patches:
@@ -779,10 +785,12 @@ def _chain_successors(m: PlanarMap, kind: GrowthOpKind, include_reflection: bool
     orientation-preserving automorphisms count without
     ``include_reflection``, where a mirror image is a class of its own.  A
     dropped site's chains are those of its representative, which comes
-    earlier, up to that automorphism: later maps are canonicalized, so
-    their subtrees are identical.  Later cuts run over every site and are
-    anchored by their signature to the unique exceptional face the chain
-    created.
+    earlier, up to that automorphism: later maps are canonical under the
+    same equivalence (``canonical_form(include_reflection)``), so their
+    subtrees are identical, and a chiral intermediate keeps its own subtree
+    apart from its mirror's without ``include_reflection``.  Later cuts run
+    over every site and are anchored by their signature to the unique
+    exceptional face the chain created.
     """
     seq = KIND_CHAINS[kind]
 
@@ -796,7 +804,7 @@ def _chain_successors(m: PlanarMap, kind: GrowthOpKind, include_reflection: bool
             if idx + 1 == len(seq):
                 yield kind, ("trunc", payload), raw
             else:
-                yield from rec(_canonicalize(raw), idx + 1, payload)
+                yield from rec(raw.canonical_form(include_reflection)[0], idx + 1, payload)
 
     yield from rec(m, 0, ())
 
@@ -843,8 +851,7 @@ def reduce_to_dodecahedron(m: PlanarMap, regime: Regime) -> DerivationTrace:
     Each step is checked as it is found: its kind is in the regime, and
     ``_apply_step`` gives a map that reads the step's code, which is the
     code the canonical search gave the map reduced.  The walk test walks
-    the start the search carried in the step first, and scans only if that
-    walk fails.  NoCaseAppliesError names the step, counting from 0 at
+    the start the step carries first, and scans only if that walk fails.  NoCaseAppliesError names the step, counting from 0 at
     ``m``.
 
     No rewrite here validates the map it builds: each predecessor is a

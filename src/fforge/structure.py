@@ -228,7 +228,7 @@ def classify_shape(m: PlanarMap) -> FamilyClass:
         # member next to the heptagon
         for d in pairs:
             p, q = m.face_of[d], m.face_of[m.twin(d)]
-            if (p in (m.face_neighbors(hept))) == (q in (m.face_neighbors(hept))):
+            if (p in hept_nbrs) == (q in hept_nbrs):
                 return FamilyClass.OTHER
         return FamilyClass.F1
     return FamilyClass.OTHER

@@ -365,11 +365,13 @@ def code_symbols_referee(m: PlanarMap, sigma, d0: int, best, exact: bool = False
     return out
 
 
-def unpruned_successors(m: PlanarMap, regime: Regime, max_faces: int):
+def unpruned_successors(m: PlanarMap, regime: Regime, max_faces: int, include_reflection: bool = True):
     """``growth.successor_candidates`` without its orbit pruning: every
     chain cuts every ``enumerate_sites`` site at every level, in the same
-    order, and the caps come first.  The referee of that pruning, which may
-    drop a move only when an earlier kept move reaches the same class."""
+    order, and the caps come first; chain intermediates are canonical under
+    the ``include_reflection`` equivalence.  The referee of that pruning,
+    which may drop a move only when an earlier kept move reaches the same
+    class."""
     cls = classify_shape(m)
     if cls not in _REGIME_CLASSES[regime]:
         return
@@ -388,7 +390,7 @@ def unpruned_successors(m: PlanarMap, regime: Regime, max_faces: int):
             if len(chain) == 1:
                 yield kind, ("trunc", payload), raw
             else:
-                yield from walk(kind, raw.canonical_form()[0], chain[1:], payload)
+                yield from walk(kind, raw.canonical_form(include_reflection)[0], chain[1:], payload)
 
     for kind in kinds:
         if kind in KIND_CHAINS:

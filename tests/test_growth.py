@@ -310,7 +310,7 @@ class TestOrbitPruning:
         max_faces = 12 + max_p6
         for e in closure(regime, max_p6, refl).entries.values():
             kept = list(successor_candidates(e.map, regime, max_faces, refl))
-            every = list(helpers.unpruned_successors(e.map, regime, max_faces))
+            every = list(helpers.unpruned_successors(e.map, regime, max_faces, refl))
             assert {(k, raw.canonical_code(refl)) for k, _, raw in kept} == {
                 (k, raw.canonical_code(refl)) for k, _, raw in every
             }
@@ -947,17 +947,32 @@ class TestCarriedStart:
         monkeypatch.setattr(PlanarMap, "_code_symbols", walk)
         return tests
 
-    @pytest.mark.parametrize("regime", list(Regime))
-    def test_one_walk_per_truncation_step(self, regime, monkeypatch, trace_corpus, c60):
-        """On the trace corpus and C60, every truncation step carries a start
-        whose one walk reads the code; only the cap steps scan."""
-        tests = self._spy(monkeypatch)
-        for m in trace_corpus + [c60]:
+    @staticmethod
+    def _walks_per_step(monkeypatch, maps, regime, which):
+        """The walk tests of the reduction steps of type ``which``."""
+        tests, out = TestCarriedStart._spy(monkeypatch), []
+        for m in maps:
             tests.clear()
             trace = reduce_to_dodecahedron(m, regime)
             kinds = [step.site[0] for step in reversed(trace.steps)]
-            assert [start is not None for start, _ in tests] == [k == "trunc" for k in kinds]
-            assert all(walks == [True] for start, walks in tests if start is not None)
+            assert len(tests) == len(kinds)
+            out += [test for test, k in zip(tests, kinds) if k == which]
+        return out
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_one_walk_per_truncation_step(self, regime, monkeypatch, trace_corpus, c60):
+        """On the trace corpus and C60, every truncation step carries a start
+        whose one walk reads the code."""
+        tests = self._walks_per_step(monkeypatch, trace_corpus + [c60], regime, "trunc")
+        assert tests and all(start is not None and walks == [True] for start, walks in tests)
+
+    @pytest.mark.parametrize("regime", [Regime.A_OPS, Regime.AB_OPS])
+    def test_one_walk_per_cap_step(self, regime, monkeypatch, trace_corpus):
+        """Every cap step carries the winning start of the family map it
+        builds, whose one walk reads the code; the tubes peel layer by layer."""
+        maps = trace_corpus + [build_D5k(3), build_F3k(4)]
+        tests = self._walks_per_step(monkeypatch, maps, regime, "cap")
+        assert len(tests) >= 7 and all(start is not None and walks == [True] for start, walks in tests)
 
     def test_a_wrong_start_passes_through_the_scan(self, monkeypatch, oracle5):
         """A step whose start is forged to another dart fails its walk, and
@@ -983,8 +998,8 @@ class TestCarriedStart:
     def test_every_fullerene_to_p6_12_reduces_in_every_regime(self, monkeypatch):
         """The constructive half of the theorem at a larger size: each of the
         226 fullerenes of the seven closure to p6 = 12 reduces in all three
-        regimes, its trace replays to its code, and no truncation step's
-        check falls back to the scan."""
+        regimes, its trace replays to its code, and no step's check falls
+        back to the scan."""
         fullerenes = enumerate_closure(EnumerationJob(Regime.SEVEN, 12)).sorted_fullerenes()
         assert len(fullerenes) == 226
         tests = self._spy(monkeypatch)
@@ -993,7 +1008,7 @@ class TestCarriedStart:
                 tests.clear()
                 trace = reduce_to_dodecahedron(m, regime)
                 carried = [walks for start, walks in tests if start is not None]
-                assert len(carried) == sum(step.site[0] == "trunc" for step in trace.steps)
+                assert len(carried) == len(trace.steps)
                 assert all(walks == [True] for walks in carried)
                 assert replay_trace(trace).canonical_code() == m.canonical_code()
 
