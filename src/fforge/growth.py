@@ -851,8 +851,8 @@ def reduce_to_dodecahedron(m: PlanarMap, regime: Regime) -> DerivationTrace:
     Each step is checked as it is found: its kind is in the regime, and
     ``_apply_step`` gives a map that reads the step's code, which is the
     code the canonical search gave the map reduced.  The walk test walks
-    the start the step carries first, and scans only if that walk fails.  NoCaseAppliesError names the step, counting from 0 at
-    ``m``.
+    the start the step carries first, and scans only if that walk fails.
+    NoCaseAppliesError names the step, counting from 0 at ``m``.
 
     No rewrite here validates the map it builds: each predecessor is a
     straightening of a valid map, which is valid by construction (see
