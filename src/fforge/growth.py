@@ -329,7 +329,7 @@ _FACE_GAIN: dict[GrowthOpKind, int] = {
 def _family_code(fam: str, k: int) -> tuple[bytes, tuple[int, bool]]:
     """The canonical code of the family map with k layers, and the
     ``(dart, reflected)`` start from which the builder's map reads it."""
-    code, (d0, _, reflected) = _CAPS[fam][1](k)._canonical(True)
+    code, (d0, _, reflected), _ = _CAPS[fam][1](k)._canonical(True)
     return code, (d0, reflected)
 
 

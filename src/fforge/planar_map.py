@@ -309,7 +309,8 @@ class PlanarMap:
         return dart_map
 
     def _canonical_search(self, include_reflection: bool):
-        """``(symbols, winning start)`` of the least code over all starts.
+        """``(symbols, winning start, reading starts)`` of the least code
+        over all starts.
 
         Starts are pruned by the automorphisms the search finds.  A walk
         that reads the winner's code in full gives the automorphism that
@@ -320,6 +321,12 @@ class PlanarMap:
         So the result is unchanged: the first start that reads the least
         code cannot lie in the orbit of an earlier start, which would have
         read that code first.
+
+        The reading starts are the winner's class, as ``(reflected, dart)``
+        pairs in sorted order: unreflected darts first.  Each member is an
+        automorphic image of the winner, so it reads the least code; and
+        each start that reads it was walked as a tie, which is merged with
+        the winner, or skipped into the class of such a tie.
         """
         fo = self.face_of
         fs = self.face_sizes
@@ -339,7 +346,7 @@ class PlanarMap:
                     cands = [(d, sigma, refl, p)]
                 elif p == best_prefix:
                     cands.append((d, sigma, refl, p))
-        best = winner = None
+        best = winner = win_i = None
         # union-find over the candidates; walked[root]: the class holds a
         # walked start; slot[refl][d]: the candidate (d, refl)
         parent = list(range(len(cands)))
@@ -362,7 +369,7 @@ class PlanarMap:
             full = [self.num_vertices, p[0], p[1]] + syms
             if best is None or full < best:
                 best = full
-                winner = (d, sigma, refl)
+                winner, win_i = (d, sigma, refl), i
                 win_map = None
             else:
                 # a tie: psi = (relabeling from d)^-1 . (relabeling from
@@ -382,15 +389,21 @@ class PlanarMap:
                     if a != b:
                         parent[a] = b
                         walked[b] = walked[b] or walked[a]
-        return best, winner
+        if slot is None:  # no tie, so no start was merged with the winner
+            return best, winner, ((winner[2], winner[0]),)
+        # cands are in (reflected, dart) order already
+        root = find(win_i)
+        return best, winner, tuple((c[2], c[0]) for j, c in enumerate(cands) if find(j) == root)
 
     def _canonical(self, include_reflection: bool):
-        """``(code, winning start)`` of the canonical search, run once per flag."""
+        """``(code, winning start, reading starts)`` of the canonical search,
+        run once per flag; the reading starts are ``(reflected, dart)``
+        pairs, sorted."""
         cache = self._code_cache
         hit = cache.get(include_reflection)
         if hit is None:
-            best, winner = self._canonical_search(include_reflection)
-            hit = cache[include_reflection] = (_encode_symbols(best), winner)
+            best, winner, starts = self._canonical_search(include_reflection)
+            hit = cache[include_reflection] = (_encode_symbols(best), winner, starts)
         return hit
 
     def reads_code(self, code: bytes, include_reflection: bool = True, start=None) -> bool:
@@ -400,28 +413,20 @@ class PlanarMap:
         the walk.  ``start``, a ``(dart, reflected)`` pair that should read
         the code, is walked first, in exact mode and before any face table
         is read; its prefix is checked by tracing its two faces.  If it is
-        missing or fails, the first start of the scan ``_reading_starts``
-        answers: only starts with the code's prefix and corner sizes
-        (``_corner_sizes``) are walked, each in exact mode, and the first
-        walk that reads every symbol answers True.  The same scan, run to its
-        end against the map's own code, gives ``automorphisms``.  The mirror
-        rotation, and a reflected ``start``, are tried only with
-        ``include_reflection``.  A walk encodes the whole map, so True
-        proves this map isomorphic to the code's map, but not that the code
-        is minimal: nothing is cached.
+        missing or fails, a scan answers: only starts with the code's prefix
+        and corner sizes (``_corner_sizes``) are walked, each in exact mode,
+        unreflected darts in dart order first, then with
+        ``include_reflection`` the mirrored ones, and the first walk that
+        reads every symbol answers True.  The mirror rotation, and a
+        reflected ``start``, are tried only with ``include_reflection``.  A
+        walk encodes the whole map, so True proves this map isomorphic to
+        the code's map, but not that the code is minimal: nothing is cached.
         """
         symbols = _decode_symbols(code)
         if len(symbols) != 3 + self.num_darts or symbols[0] != self.num_vertices:
             return False
         if start is not None and (include_reflection or not start[1]) and self._reads_from(symbols, *start):
             return True
-        return next(self._reading_starts(symbols, include_reflection), None) is not None
-
-    def _reading_starts(self, symbols: Sequence[int], include_reflection: bool):
-        """Each ``(dart, reflected)`` start whose walk reads ``symbols``, a
-        code of this map's size, in full: the starts with the code's prefix
-        and corner sizes are walked in exact mode, unreflected darts in dart
-        order first, then with ``include_reflection`` the mirrored ones."""
         fo, fs, twin = self.face_of, self.face_sizes, self._twin
         corners, prv = _corner_sizes(symbols), _standard_rotation(self.num_darts, 2)
         for sigma, refl in self._orientations(include_reflection):
@@ -433,32 +438,41 @@ class PlanarMap:
                     and (fs[fo[prv[d]]], fs[fo[prv[twin[d]]]]) == corners
                     and self._code_symbols(sigma, d, symbols, exact=True) is not None
                 ):
-                    yield d, refl
+                    return True
+        return False
 
     def automorphisms(self, include_reflection: bool = True) -> tuple[tuple[tuple[int, ...], bool], ...]:
         """The automorphism group, as ``(dart map, reversing)`` pairs, computed
         once per flag; without ``include_reflection``, only the
         orientation-preserving ones.
 
-        The group comes from an exact scan of the map against its own code:
-        each start d that reads the code gives phi = psi_w^-1 . psi_d, where
-        psi_x is the relabeling from x and w the winning start, and phi
-        reverses orientation exactly when d and w differ in reflection.
-        ``dart map[x]`` keeps x's source and target; a reversing phi maps the
-        face left of x to the face right of its image.
+        The group comes from the canonical search's reading starts, with no
+        walk of its own: each start d that reads the code gives phi =
+        psi_w^-1 . psi_d, where psi_x is the relabeling from x and w the
+        winning start, and phi reverses orientation exactly when d and w
+        differ in reflection.  On a canonical copy psi_w is the identity, so
+        phi is psi_d.  ``dart map[x]`` keeps x's source and target; a
+        reversing phi maps the face left of x to the face right of its
+        image.
         """
         cache = self._aut_cache
         hit = cache.get(include_reflection)
         if hit is None:
-            code, (w, sigma, w_refl) = self._canonical(include_reflection)
+            _, (w, sigma, w_refl), starts = self._canonical(include_reflection)
             n = self.num_darts
-            inv = [0] * n
-            for old, new in enumerate(self._relabeling(w, sigma)):
-                inv[new] = old
-            hit = cache[include_reflection] = tuple(
-                (tuple(inv[x] for x in self._relabeling(d, _standard_rotation(n, 2 if refl else 1))), refl != w_refl)
-                for d, refl in self._reading_starts(_decode_symbols(code), include_reflection)
-            )
+            win_map = self._relabeling(w, sigma)
+            compose = win_map != list(range(n))
+            if compose:
+                inv = [0] * n
+                for old, new in enumerate(win_map):
+                    inv[new] = old
+            group = []
+            for refl, d in starts:
+                phi = self._relabeling(d, _standard_rotation(n, 2 if refl else 1))
+                if compose:
+                    phi = [inv[x] for x in phi]
+                group.append((tuple(phi), refl != w_refl))
+            hit = cache[include_reflection] = tuple(group)
         return hit
 
     def _reads_from(self, symbols: Sequence[int], d0: int, reflected: bool) -> bool:
@@ -504,9 +518,12 @@ class PlanarMap:
         sends each dart to the new dart with the same source and target; when
         ``reflected`` is set the rotation was inverted, so a dart's left face
         becomes its image's right face.  Isomorphic inputs produce
-        dart-for-dart identical outputs.
+        dart-for-dart identical outputs.  The copy carries its search's
+        result: the code, dart 0 unreflected as the winning start, and the
+        reading starts in its own labeling, so neither its code nor its
+        ``automorphisms`` costs a walk.
         """
-        code, (d0, sigma, refl) = self._canonical(include_reflection)
+        code, (d0, sigma, refl), starts = self._canonical(include_reflection)
         twin = self._twin
         n = self.num_darts
         dart_map = self._relabeling(d0, sigma)
@@ -516,8 +533,11 @@ class PlanarMap:
         # a bijective relabeling of a validated map needs no second validation
         out = PlanarMap(new_twin, _validated=True)
         # the copy reads the code from dart 0 unreflected, the first candidate
-        # its own search would try, so that start wins
-        out._code_cache[include_reflection] = (code, (0, out._next, False))
+        # its own search would try, so that start wins; a reading start walks
+        # in the copy's own rotation exactly when it shares the winner's
+        out._code_cache[include_reflection] = (
+            code, (0, out._next, False), tuple(sorted((r != refl, dart_map[d]) for r, d in starts)),
+        )
         return out, dart_map, refl
 
 

@@ -365,6 +365,58 @@ def code_symbols_referee(m: PlanarMap, sigma, d0: int, best, exact: bool = False
     return out
 
 
+def scan_automorphisms(m: PlanarMap, include_reflection: bool):
+    """``PlanarMap.automorphisms`` by a plain scan that shares no code with
+    the canonical search: every start with the least face-size prefix is
+    walked in full by ``code_symbols_referee``, the least code is the least
+    of those reads, and each ``(reflected, dart)`` start that reads it, in
+    sorted order, gives psi_w^-1 . psi_d.  Here psi_x is the first-visit
+    relabeling from x and w the first start that reads the code; the element
+    reverses orientation when d and w differ in reflection."""
+    n = m.num_darts
+    twin = [m.twin(d) for d in range(n)]
+    rotations = {False: [m.next(d) for d in range(n)]}
+    if include_reflection:
+        rotations[True] = [m.prev(d) for d in range(n)]
+
+    def face_size(d0):
+        d, size = m.next(twin[d0]), 1
+        while d != d0:
+            d, size = m.next(twin[d]), size + 1
+        return size
+
+    def relabeling(sigma, d0):
+        order, seen, dart_map = [d0], {d0 // 3}, [0] * n
+        for i, d in enumerate(order):
+            for j in range(3):
+                dart_map[d] = 3 * i + j
+                if twin[d] // 3 not in seen:
+                    seen.add(twin[d] // 3)
+                    order.append(twin[d])
+                d = sigma[d]
+        return dart_map
+
+    prefixes = {}
+    for refl in rotations:
+        for d in range(n):
+            sizes = (face_size(d), face_size(twin[d]))
+            prefixes[refl, d] = [m.num_vertices, *(sizes[::-1] if refl else sizes)]
+    least_prefix = min(prefixes.values())
+    reads = {
+        start: prefix + code_symbols_referee(m, rotations[start[0]], start[1], None)
+        for start, prefix in prefixes.items() if prefix == least_prefix
+    }
+    least = min(reads.values())
+    starts = sorted(start for start, code in reads.items() if code == least)
+    w_refl, w = starts[0]
+    inv = [0] * n
+    for old, new in enumerate(relabeling(rotations[w_refl], w)):
+        inv[new] = old
+    return tuple(
+        (tuple(inv[x] for x in relabeling(rotations[refl], d)), refl != w_refl) for refl, d in starts
+    )
+
+
 def unpruned_successors(m: PlanarMap, regime: Regime, max_faces: int, include_reflection: bool = True):
     """``growth.successor_candidates`` without its orbit pruning: every
     chain cuts every ``enumerate_sites`` site at every level, in the same

@@ -234,14 +234,16 @@ class TestCanonicalForm:
             assert again == m
 
     def test_copy_cache_equals_a_fresh_search(self, gen_seven, gen_a, gen_ab):
-        """The canonical copy's seeded (code, winning start) is what its own
-        search finds."""
+        """The canonical copy's seeded (code, winning start, reading starts)
+        is what its own search finds, whether the input is the closure's map
+        or a relabeled or mirrored copy of it."""
         for gen in (gen_seven, gen_a, gen_ab):
-            for e in gen.entries.values():
-                for refl in (True, False):
-                    copy = e.map.canonical_form(refl)[0]
-                    fresh = PlanarMap(copy._twin)
-                    assert copy._canonical(refl) == fresh._canonical(refl)
+            for i, e in enumerate(gen.entries.values()):
+                for m in (e.map, relabeled(e.map, i), helpers.mirrored(e.map)):
+                    for refl in (True, False):
+                        copy = PlanarMap(m._twin).canonical_form(refl)[0]
+                        fresh = PlanarMap(copy._twin)
+                        assert copy._canonical(refl) == fresh._canonical(refl)
 
     def test_copy_is_the_relabeling_from_rotation_builds(self, gen_seven, gen_a, gen_ab):
         """The copy built straight from the dart relabeling equals, dart for
@@ -303,6 +305,59 @@ class TestAutomorphisms:
             group = m.automorphisms()
             assert len(group) == len(helpers.nx_automorphisms(m))
             assert len(m.automorphisms(False)) == sum(not reversing for _, reversing in group)
+
+    @pytest.mark.parametrize("regime, max_p6", [(Regime.SEVEN, 8), (Regime.A_OPS, 8), (Regime.AB_OPS, 7)])
+    @pytest.mark.parametrize("refl", [True, False])
+    def test_closure_copies_match_the_scan(self, closure, regime, max_p6, refl):
+        """On canonical copies made as the closure makes them, from maps in
+        another labeling, the group equals the plain scan's, element for
+        element and in order."""
+        for i, e in enumerate(closure(regime, max_p6, refl).entries.values()):
+            for m in (relabeled(e.map, i), helpers.mirrored(e.map)):
+                copy = m.canonical_form(refl)[0]
+                assert copy.automorphisms(refl) == helpers.scan_automorphisms(copy, refl)
+
+    def test_fresh_searches_match_the_scan(self, gen_seven, gen_a, gen_ab, c60):
+        """Relabeled and mirrored copies, whose group comes from a fresh
+        search, and maps outside the closure: C60, its leapfrog C180, the
+        cube and two maps that are not 3-connected."""
+        maps = [c60, helpers.leapfrog(c60), helpers.cube_map()]
+        maps += [helpers.two_edge_connected_cubic(), helpers.bridged_cubic()]
+        for gen in (gen_seven, gen_a, gen_ab):
+            for i, e in enumerate(gen.entries.values()):
+                maps += [relabeled(e.map, i), helpers.mirrored(e.map)]
+        for m in maps:
+            for refl in (True, False):
+                assert PlanarMap(m._twin).automorphisms(refl) == helpers.scan_automorphisms(m, refl)
+
+    @pytest.mark.parametrize("refl", [True, False])
+    def test_the_closure_takes_the_group_without_a_walk(self, monkeypatch, refl):
+        """Every group the closure asks for is that of a canonical copy, whose
+        reading starts the copy carries, so ``automorphisms`` walks nothing."""
+        walks, orders, inside = 0, [], False
+        real_walk, real_group = PlanarMap._code_symbols, PlanarMap.automorphisms
+
+        def walk_spy(self, *args, **kwargs):
+            nonlocal walks
+            walks += inside
+            return real_walk(self, *args, **kwargs)
+
+        def group_spy(self, include_reflection=True):
+            nonlocal inside
+            inside = True
+            try:
+                group = real_group(self, include_reflection)
+            finally:
+                inside = False
+            orders.append(len(group))
+            return group
+
+        monkeypatch.setattr(PlanarMap, "_code_symbols", walk_spy)
+        monkeypatch.setattr(PlanarMap, "automorphisms", group_spy)
+        for regime, max_p6 in ((Regime.SEVEN, 6), (Regime.A_OPS, 6), (Regime.AB_OPS, 5)):
+            enumerate_closure(EnumerationJob(regime, max_p6, include_reflection=refl))
+        assert len(orders) > 50 and max(orders) > 1
+        assert walks == 0
 
     def test_every_element_is_an_automorphism(self, dodeca, gen_seven):
         """Each element is a distinct dart bijection that commutes with twin
@@ -438,8 +493,9 @@ class TestWalkTest:
 
     def test_walks_per_closure_are_bounded(self, monkeypatch):
         """The corner filter keeps the walk test to few walks per duplicate:
-        the seven closure at p6 <= 6 runs 1,143 walk-test walks for its 409
-        duplicates (4,302 with the face-size prefix as the only filter)."""
+        the seven closure at p6 <= 6 runs 309 exact-mode walks for its 91
+        duplicates.  The group of each parent costs none, since it comes
+        from the reading starts its canonical copy carries."""
         walks = 0
         real = PlanarMap._code_symbols
 
@@ -450,7 +506,7 @@ class TestWalkTest:
 
         monkeypatch.setattr(PlanarMap, "_code_symbols", spy)
         enumerate_closure(EnumerationJob(Regime.SEVEN, 6))
-        assert 0 < walks <= 1300
+        assert 0 < walks <= 330
 
 
 def _fixture_maps(gen_seven, gen_a, gen_ab):
