@@ -389,8 +389,6 @@ class PlanarMap:
                     if a != b:
                         parent[a] = b
                         walked[b] = walked[b] or walked[a]
-        if slot is None:  # no tie, so no start was merged with the winner
-            return best, winner, ((winner[2], winner[0]),)
         # cands are in (reflected, dart) order already
         root = find(win_i)
         return best, winner, tuple((c[2], c[0]) for j, c in enumerate(cands) if find(j) == root)
@@ -450,8 +448,7 @@ class PlanarMap:
         walk of its own: each start d that reads the code gives phi =
         psi_w^-1 . psi_d, where psi_x is the relabeling from x and w the
         winning start, and phi reverses orientation exactly when d and w
-        differ in reflection.  On a canonical copy psi_w is the identity, so
-        phi is psi_d.  ``dart map[x]`` keeps x's source and target; a
+        differ in reflection.  ``dart map[x]`` keeps x's source and target; a
         reversing phi maps the face left of x to the face right of its
         image.
         """
@@ -460,18 +457,13 @@ class PlanarMap:
         if hit is None:
             _, (w, sigma, w_refl), starts = self._canonical(include_reflection)
             n = self.num_darts
-            win_map = self._relabeling(w, sigma)
-            compose = win_map != list(range(n))
-            if compose:
-                inv = [0] * n
-                for old, new in enumerate(win_map):
-                    inv[new] = old
+            inv = [0] * n
+            for old, new in enumerate(self._relabeling(w, sigma)):
+                inv[new] = old
             group = []
             for refl, d in starts:
                 phi = self._relabeling(d, _standard_rotation(n, 2 if refl else 1))
-                if compose:
-                    phi = [inv[x] for x in phi]
-                group.append((tuple(phi), refl != w_refl))
+                group.append((tuple(inv[x] for x in phi), refl != w_refl))
             hit = cache[include_reflection] = tuple(group)
         return hit
 
