@@ -6,7 +6,6 @@ from .planar_map import (
     check_polytopal,
     decode_planar_code,
     encode_planar_code,
-    is_fullerene,
     map_from_faces,
     p_vector,
     read_planar_code,

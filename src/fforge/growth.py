@@ -138,19 +138,19 @@ def _read(obj, key: str, t: type, parse=lambda v: v):
 class GrowthStep:
     """One growth event with everything needed to replay it.
 
-    ``site`` is ("trunc", ((s, dart), ...)) with darts in the canonical
-    labeling of the map each sub-truncation acts on, or ("cap", family, k)
-    for a layer insertion into that family's map with k layers.  ``start``,
-    set by the reduction and never serialized, is the ``(dart, reflected)``
-    start from which the step's result reads ``code``: ``_carried_start``
-    of a truncation step, the winning start of the built family map
-    (``_family_code``) for a cap step.
+    ``site`` is ("trunc", sub-sites) with one ``TruncationSite`` per
+    truncation of the kind's chain, each dart in the canonical labeling of
+    the map it cuts, or ("cap", family, k) for a layer insertion into that
+    family's map with k layers.  ``start``, set by the reduction and never
+    serialized, is the ``(reflected, dart)`` start from which the step's
+    result reads ``code``: ``_carried_start`` of a truncation step, the
+    winning start of the built family map (``_family_code``) for a cap step.
     """
 
     kind: GrowthOpKind
     site: tuple
     code: bytes
-    start: Optional[tuple[int, bool]] = field(default=None, compare=False, repr=False)
+    start: Optional[tuple[bool, int]] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         if self.site[0] == "trunc":
@@ -168,7 +168,7 @@ class GrowthStep:
             steps = _read(p, "steps", list)
             if not all(type(x) is list and [type(v) for v in x] == [int, int] for x in steps):
                 raise MapError("field 'steps' holds a sub-site that is not two ints")
-            site = ("trunc", tuple(map(tuple, steps)))
+            site = ("trunc", tuple(TruncationSite(*x) for x in steps))
         elif p["type"] == "cap":
             site = ("cap", _read(p, "family", str), _read(p, "k", int))
         else:
@@ -326,11 +326,10 @@ _FACE_GAIN: dict[GrowthOpKind, int] = {
 
 
 @cache
-def _family_code(fam: str, k: int) -> tuple[bytes, tuple[int, bool]]:
+def _family_code(fam: str, k: int) -> tuple[bytes, tuple[bool, int]]:
     """The canonical code of the family map with k layers, and the
-    ``(dart, reflected)`` start from which the builder's map reads it."""
-    code, (d0, _, reflected), _ = _CAPS[fam][1](k)._canonical(True)
-    return code, (d0, reflected)
+    ``(reflected, dart)`` start from which the builder's map reads it."""
+    return _CAPS[fam][1](k)._canonical(True)[:2]
 
 
 def recognize_nanotube(m: PlanarMap) -> list[tuple[str, int]]:
@@ -421,13 +420,9 @@ def _operation_classes():
 _SOURCE_CLASSES, _TARGET_CLASSES = _operation_classes()
 
 
-def _canonicalize(m: PlanarMap) -> PlanarMap:
-    return m.canonical_form()[0]
-
-
 def _canonical_site(m_raw: PlanarMap, site: TruncationSite):
     """Express a truncation site in the canonical labeling:
-    ``(canonical form, (s, dart), dart_map, reflected)``, the last two as
+    ``(canonical form, site, dart_map, reflected)``, the last two as
     ``canonical_form`` gives them.
 
     When the canonical form reflects the map, the run is walked from its
@@ -437,16 +432,17 @@ def _canonical_site(m_raw: PlanarMap, site: TruncationSite):
     """
     canon, dmap, reflected = m_raw.canonical_form()
     anchor = m_raw.prev(site.walk(m_raw)[-1]) if reflected else site.start_dart
-    return canon, (site.s, dmap[anchor]), dmap, reflected
+    return canon, TruncationSite(site.s, dmap[anchor]), dmap, reflected
 
 
-def apply_growth(m: PlanarMap, kind: GrowthOpKind, site=None) -> PlanarMap:
+def apply_growth(m: PlanarMap, kind: GrowthOpKind, sites: Sequence[TruncationSite] = ()) -> PlanarMap:
     """Apply a growth operation and return the canonical result.
 
-    ``site`` is a TruncationSite on ``m`` for a kind whose chain is one
-    truncation, or the (s, dart) sub-sites of a step payload for any chain
-    (darts in the canonical labeling of the map each sub-step cuts), and is
-    ignored for the cap insertions.
+    ``sites`` are the sub-sites of the kind's truncation chain, one per
+    truncation (``_run_chain``): the first in ``m``'s own labeling, each
+    later one in the canonical labeling of the map it cuts.  A step payload
+    recorded on ``m``'s canonical form is such a list for that form.  The
+    cap insertions take no sites.
     """
     cls = classify_shape(m)
     if cls not in _SOURCE_CLASSES[kind]:
@@ -455,19 +451,12 @@ def apply_growth(m: PlanarMap, kind: GrowthOpKind, site=None) -> PlanarMap:
         grown = [raw for *_, raw in _cap_successors(m, (kind,))]
         if not grown:
             raise SiteMismatchError(f"{kind.name} needs the matching nanotube cap")
-        return _canonicalize(grown[0])
-    if isinstance(site, TruncationSite):
-        if m.face_of[site.start_dart] != site.face:
-            raise SiteMismatchError("start dart is not on the site face")
-        out = _run_chain(m, ((site.s, site.start_dart),), KIND_CHAINS[kind])
-    elif site is None:
-        raise SiteMismatchError(f"{kind.name} needs a truncation site")
-    else:
-        out = _run_chain(_canonicalize(m), site, KIND_CHAINS[kind])
+        return grown[0].canonical_form()[0]
+    out = _run_chain(m, sites, KIND_CHAINS[kind])
     out_cls = classify_shape(out)
     if out_cls not in _TARGET_CLASSES[kind]:
         raise IllegalTransitionError(f"{kind.name} produced class {out_cls.value}")
-    return _canonicalize(out)
+    return out.canonical_form()[0]
 
 
 def _site_matches(m: PlanarMap, site: TruncationSite, kind: GrowthOpKind) -> bool:
@@ -478,23 +467,21 @@ def _site_matches(m: PlanarMap, site: TruncationSite, kind: GrowthOpKind) -> boo
     return (sm1, sm2) == (min(m1, m2), max(m1, m2))
 
 
-def _run_chain(m_canon: PlanarMap, sites, chain: Sequence[GrowthOpKind]) -> PlanarMap:
-    """Cut a chain's (s, dart) sub-sites in turn; returns the raw last map.
+def _run_chain(m: PlanarMap, sites: Sequence[TruncationSite], chain: Sequence[GrowthOpKind]) -> PlanarMap:
+    """Cut a chain's sub-sites in turn; returns the raw last map.
 
-    Each dart is in the canonical labeling of the map it cuts: the first in
-    ``m_canon``'s, every later one in the canonical form of the previous
-    result.  SiteMismatchError unless each sub-site has the signature of its
-    truncation in ``chain``.
+    The first sub-site is in ``m``'s labeling, every later one in the
+    canonical form of the previous result.  SiteMismatchError unless each
+    sub-site has the signature of its truncation in ``chain``.
     """
     if len(sites) != len(chain):
         raise SiteMismatchError(f"the chain needs {len(chain)} sub-sites, not {len(sites)}")
-    out = m_canon
-    for i, ((s, dart), kind) in enumerate(zip(sites, chain)):
+    out = m
+    for i, (site, kind) in enumerate(zip(sites, chain)):
         if i:
-            out = _canonicalize(out)
-        if not 0 <= dart < out.num_darts:
+            out = out.canonical_form()[0]
+        if not 0 <= site.start_dart < out.num_darts:
             raise SiteMismatchError(f"sub-site {i} names no dart of the map")
-        site = TruncationSite(out.face_of[dart], dart, s)
         if not _site_matches(out, site, kind):
             raise SiteMismatchError(f"sub-site {i} does not match {kind.name}")
         out = truncate(out, site).map
@@ -529,12 +516,12 @@ def replay_step(m_canon: PlanarMap, step: GrowthStep) -> PlanarMap:
     out = _apply_step(m_canon, step)
     if out.canonical_code() != step.code:
         raise MapError(f"replay of {step.kind.name} did not reproduce the recorded code")
-    return _canonicalize(out)
+    return out.canonical_form()[0]
 
 
 def replay_trace(trace: DerivationTrace) -> PlanarMap:
     """Verify a trace whose codes are claims, as one read from a file."""
-    m = _canonicalize(build_dodecahedron())
+    m = build_dodecahedron().canonical_form()[0]
     if m.canonical_code() != trace.start_code:
         raise MapError("trace does not start at the dodecahedron")
     for step in trace.steps:
@@ -669,7 +656,7 @@ def _reduce_adjacent_pentagons(m: PlanarMap, code: bytes):
         op, builder, _ = _CAPS[fam]
         # replay builds the family map with k layers, which reads m's code
         step = GrowthStep(op, ("cap", fam, k - 1), code, _family_code(fam, k)[1])
-        return _canonicalize(builder(k - 1)), step
+        return builder(k - 1).canonical_form()[0], step
     for patch, kind in ((Fragment.P1, GrowthOpKind.A4), (Fragment.P2, GrowthOpKind.A3)):
         patches = find_fragments(m, patch)
         if not patches:
@@ -728,7 +715,7 @@ def _sequence_search(
 
 
 def _carried_start(c: PlanarMap, d: int, relabel, x: PlanarMap, csite, dmap, reflected: bool):
-    """The ``(dart, reflected)`` start from which R = truncate(x, csite)
+    """The ``(reflected, dart)`` start from which R = truncate(x, csite)
     reads ``c``'s canonical code, where straightening ``c`` at ``d`` gave
     ``relabel`` and the canonical form ``x`` with ``dmap`` and ``reflected``.
 
@@ -740,19 +727,20 @@ def _carried_start(c: PlanarMap, d: int, relabel, x: PlanarMap, csite, dmap, ref
     cut, and else, being ``d`` or its twin, back from the next dart around
     its target.
     """
-    w, sigma, w_refl = c._canonical(True)[1]
+    w_refl, w = c._canonical(True)[1]
     cut = (d // 3, c.twin(d) // 3)
     mirror = reflected != w_refl
     if w // 3 not in cut:
-        return dmap[relabel[w]], mirror
-    twin_r = truncate(x, TruncationSite(x.face_of[csite[1]], csite[1], csite[0])).map.twin
+        return mirror, dmap[relabel[w]]
+    twin_r = truncate(x, csite).map.twin
     tw = c.twin(w)
     if tw // 3 not in cut:
-        return twin_r(dmap[relabel[tw]]), mirror
-    # the image of y = sigma(twin w), which leads from w's target to a vertex
-    # that survives; twin(w)'s image is the dart before it in R's walk rotation
-    y = twin_r(dmap[relabel[c.twin(sigma[tw])]])
-    return twin_r(3 * (y // 3) + (y + (1 if mirror else 2)) % 3), mirror
+        return mirror, twin_r(dmap[relabel[tw]])
+    # the image of y = sigma(twin w), sigma the winner's walk rotation, which
+    # leads from w's target to a vertex that survives; twin(w)'s image is the
+    # dart before it in R's walk rotation
+    y = twin_r(dmap[relabel[c.twin(c.prev(tw) if w_refl else c.next(tw))]])
+    return mirror, twin_r(3 * (y // 3) + (y + (1 if mirror else 2)) % 3)
 
 
 # ----------------------------------------------------------------------
@@ -773,7 +761,7 @@ def _one_per_orbit(m: PlanarMap, sites: Sequence[TruncationSite], automorphisms)
             continue
         kept.append(site)
         # phi keeps each dart's source, so it maps the run's vertices
-        covered.update(cut_key([phi[x] // 3 for x in walk]) for phi, _ in automorphisms)
+        covered.update(cut_key([phi[x] // 3 for x in walk]) for phi in automorphisms)
     return kept
 
 
@@ -800,7 +788,7 @@ def _chain_successors(m: PlanarMap, kind: GrowthOpKind, include_reflection: bool
         sites = enumerate_sites(cur, s=s, k=k, m1=m1, m2=m2)
         for site in sites if idx else _one_per_orbit(cur, sites, cur.automorphisms(include_reflection)):
             raw = truncate(cur, site).map
-            payload = acc + ((site.s, site.start_dart),)
+            payload = acc + (site,)
             if idx + 1 == len(seq):
                 yield kind, ("trunc", payload), raw
             else:
@@ -858,7 +846,7 @@ def reduce_to_dodecahedron(m: PlanarMap, regime: Regime) -> DerivationTrace:
     straightening of a valid map, which is valid by construction (see
     ``transform``), and the walk test reads the code of a valid map in
     full, which proves ``_apply_step``'s result isomorphic to that map."""
-    cur = _canonicalize(m)
+    cur = m.canonical_form()[0]
     steps: list[GrowthStep] = []
     guard = 4 * m.num_faces + 16
     while cur.canonical_code() != _dodecahedron_code():

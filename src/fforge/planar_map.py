@@ -252,12 +252,6 @@ class PlanarMap:
     # canonical codes
     # ------------------------------------------------------------------
 
-    def _orientations(self, include_reflection: bool):
-        """``(sigma, reflected)`` per rotation a walk may follow."""
-        if include_reflection:
-            return ((self._next, False), (_standard_rotation(self.num_darts, 2), True))
-        return ((self._next, False),)
-
     def _code_symbols(self, sigma, d0: int, best, exact: bool = False):
         """First-visit labeling walk from dart d0; None if worse than best,
         or with ``exact``, as soon as a symbol differs from best's.  A walk
@@ -288,12 +282,16 @@ class PlanarMap:
                     bi += 1
         return best[3:] if out is None else out
 
-    def _relabeling(self, d0: int, sigma) -> list[int]:
-        """``dart_map[old] = new`` of the labeling walk from ``d0`` in ``sigma``.
+    def _relabeling(self, start) -> list[int]:
+        """``dart_map[old] = new`` of the labeling walk from the
+        ``(reflected, dart)`` start, in the mirror rotation if reflected.
 
         Vertex v of the relabeled map is the v-th vertex the walk reaches, its
-        darts numbered in sigma order from the dart the walk entered by.
+        darts numbered in that rotation's order from the dart the walk
+        entered by.
         """
+        reflected, d0 = start
+        sigma = _standard_rotation(self.num_darts, reflected)
         twin = self._twin
         seen = [False] * self.num_vertices
         seen[d0 // 3] = True
@@ -310,7 +308,7 @@ class PlanarMap:
 
     def _canonical_search(self, include_reflection: bool):
         """``(symbols, winning start, reading starts)`` of the least code
-        over all starts.
+        over all starts, each start a ``(reflected, dart)`` pair.
 
         Starts are pruned by the automorphisms the search finds.  A walk
         that reads the winner's code in full gives the automorphism that
@@ -322,33 +320,33 @@ class PlanarMap:
         code cannot lie in the orbit of an earlier start, which would have
         read that code first.
 
-        The reading starts are the winner's class, as ``(reflected, dart)``
-        pairs in sorted order: unreflected darts first.  Each member is an
-        automorphic image of the winner, so it reads the least code; and
-        each start that reads it was walked as a tie, which is merged with
-        the winner, or skipped into the class of such a tie.
+        The reading starts are the winner's class, in sorted order:
+        unreflected darts first.  Each member is an automorphic image of the
+        winner, so it reads the least code; and each start that reads it was
+        walked as a tie, which is merged with the winner, or skipped into the
+        class of such a tie.
         """
         fo = self.face_of
         fs = self.face_sizes
         twin = self._twin
+        n = self.num_darts
+        rotations = (self._next, _standard_rotation(n, True))
         # prefix = face sizes left/right of the starting dart; only darts with
         # the minimal prefix can start a minimal code
         best_prefix = None
         cands = []
-        for sigma, refl in self._orientations(include_reflection):
-            for d in range(self.num_darts):
+        for refl in (False, True) if include_reflection else (False,):
+            for d in range(n):
                 a, b = fs[fo[d]], fs[fo[twin[d]]]
-                if refl:
-                    a, b = b, a
-                p = (a, b)
+                p = (b, a) if refl else (a, b)
                 if best_prefix is None or p < best_prefix:
                     best_prefix = p
-                    cands = [(d, sigma, refl, p)]
+                    cands = [(refl, d)]
                 elif p == best_prefix:
-                    cands.append((d, sigma, refl, p))
+                    cands.append((refl, d))
         best = winner = win_i = None
         # union-find over the candidates; walked[root]: the class holds a
-        # walked start; slot[refl][d]: the candidate (d, refl)
+        # walked start; slot[refl][d]: the index of the candidate (refl, d)
         parent = list(range(len(cands)))
         walked = [False] * len(cands)
         slot = win_map = None
@@ -358,45 +356,46 @@ class PlanarMap:
                 parent[i] = i = parent[parent[i]]
             return i
 
-        for i, (d, sigma, refl, p) in enumerate(cands):
+        for i, start in enumerate(cands):
             root = find(i)
             if walked[root]:
                 continue
             walked[root] = True
-            syms = self._code_symbols(sigma, d, best)
+            refl, d = start
+            syms = self._code_symbols(rotations[refl], d, best)
             if syms is None:
                 continue
-            full = [self.num_vertices, p[0], p[1]] + syms
+            full = [self.num_vertices, *best_prefix] + syms
             if best is None or full < best:
                 best = full
-                winner, win_i = (d, sigma, refl), i
+                winner, win_i = start, i
                 win_map = None
             else:
                 # a tie: psi = (relabeling from d)^-1 . (relabeling from
                 # winner) is an automorphism that sends the winner to d
                 if win_map is None:
-                    win_map = self._relabeling(winner[0], winner[1])
+                    win_map = self._relabeling(winner)
                 if slot is None:
-                    slot = ([-1] * len(twin), [-1] * len(twin))
-                    for j, c in enumerate(cands):
-                        slot[c[2]][c[0]] = j
-                inv = [0] * len(twin)
-                for old, new in enumerate(self._relabeling(d, sigma)):
+                    slot = ([-1] * n, [-1] * n)
+                    for j, (r, x) in enumerate(cands):
+                        slot[r][x] = j
+                inv = [0] * n
+                for old, new in enumerate(self._relabeling(start)):
                     inv[new] = old
-                flip = refl != winner[2]
-                for j, c in enumerate(cands):
-                    a, b = find(j), find(slot[c[2] != flip][inv[win_map[c[0]]]])
+                flip = refl != winner[0]
+                for j, (r, x) in enumerate(cands):
+                    a, b = find(j), find(slot[r != flip][inv[win_map[x]]])
                     if a != b:
                         parent[a] = b
                         walked[b] = walked[b] or walked[a]
         # cands are in (reflected, dart) order already
         root = find(win_i)
-        return best, winner, tuple((c[2], c[0]) for j, c in enumerate(cands) if find(j) == root)
+        return best, winner, tuple(c for j, c in enumerate(cands) if find(j) == root)
 
     def _canonical(self, include_reflection: bool):
         """``(code, winning start, reading starts)`` of the canonical search,
-        run once per flag; the reading starts are ``(reflected, dart)``
-        pairs, sorted."""
+        run once per flag; each start is a ``(reflected, dart)`` pair, and
+        the reading starts are sorted."""
         cache = self._code_cache
         hit = cache.get(include_reflection)
         if hit is None:
@@ -408,7 +407,7 @@ class PlanarMap:
         """Whether some labeling walk of this map reads ``code`` in full.
 
         A code's symbols are the vertex count, the face-size prefix, then
-        the walk.  ``start``, a ``(dart, reflected)`` pair that should read
+        the walk.  ``start``, a ``(reflected, dart)`` pair that should read
         the code, is walked first, in exact mode and before any face table
         is read; its prefix is checked by tracing its two faces.  If it is
         missing or fails, a scan answers: only starts with the code's prefix
@@ -423,11 +422,12 @@ class PlanarMap:
         symbols = _decode_symbols(code)
         if len(symbols) != 3 + self.num_darts or symbols[0] != self.num_vertices:
             return False
-        if start is not None and (include_reflection or not start[1]) and self._reads_from(symbols, *start):
+        if start is not None and (include_reflection or not start[0]) and self._reads_from(symbols, *start):
             return True
         fo, fs, twin = self.face_of, self.face_sizes, self._twin
-        corners, prv = _corner_sizes(symbols), _standard_rotation(self.num_darts, 2)
-        for sigma, refl in self._orientations(include_reflection):
+        corners, prv = _corner_sizes(symbols), _standard_rotation(self.num_darts, True)
+        for refl in (False, True) if include_reflection else (False,):
+            sigma = prv if refl else self._next
             left, right = (symbols[2], symbols[1]) if refl else (symbols[1], symbols[2])
             for d in range(self.num_darts):
                 if (
@@ -439,40 +439,36 @@ class PlanarMap:
                     return True
         return False
 
-    def automorphisms(self, include_reflection: bool = True) -> tuple[tuple[tuple[int, ...], bool], ...]:
-        """The automorphism group, as ``(dart map, reversing)`` pairs, computed
-        once per flag; without ``include_reflection``, only the
-        orientation-preserving ones.
+    def automorphisms(self, include_reflection: bool = True) -> tuple[tuple[int, ...], ...]:
+        """The automorphism group, as dart maps, computed once per flag;
+        without ``include_reflection``, only the orientation-preserving ones.
 
         The group comes from the canonical search's reading starts, with no
         walk of its own: each start d that reads the code gives phi =
         psi_w^-1 . psi_d, where psi_x is the relabeling from x and w the
-        winning start, and phi reverses orientation exactly when d and w
-        differ in reflection.  ``dart map[x]`` keeps x's source and target; a
-        reversing phi maps the face left of x to the face right of its
-        image.
+        winning start.  ``phi[x]`` keeps x's source and target; phi reverses
+        orientation, mapping the face left of x to the face right of its
+        image, exactly when d and w differ in reflection, that is when
+        ``phi[next(x)] != next(phi[x])``.
         """
         cache = self._aut_cache
         hit = cache.get(include_reflection)
         if hit is None:
-            _, (w, sigma, w_refl), starts = self._canonical(include_reflection)
-            n = self.num_darts
-            inv = [0] * n
-            for old, new in enumerate(self._relabeling(w, sigma)):
+            _, winner, starts = self._canonical(include_reflection)
+            inv = [0] * self.num_darts
+            for old, new in enumerate(self._relabeling(winner)):
                 inv[new] = old
-            group = []
-            for refl, d in starts:
-                phi = self._relabeling(d, _standard_rotation(n, 2 if refl else 1))
-                group.append((tuple(inv[x] for x in phi), refl != w_refl))
-            hit = cache[include_reflection] = tuple(group)
+            hit = cache[include_reflection] = tuple(
+                tuple(inv[x] for x in self._relabeling(start)) for start in starts
+            )
         return hit
 
-    def _reads_from(self, symbols: Sequence[int], d0: int, reflected: bool) -> bool:
+    def _reads_from(self, symbols: Sequence[int], reflected: bool, d0: int) -> bool:
         """Whether the walk from ``d0``, in the mirror rotation if
         ``reflected``, reads ``symbols``, prefix and all."""
         if not 0 <= d0 < self.num_darts:
             return False
-        sigma = _standard_rotation(self.num_darts, 2 if reflected else 1)
+        sigma = _standard_rotation(self.num_darts, reflected)
         if self._code_symbols(sigma, d0, symbols, exact=True) is None:
             return False
         nxt, twin = self._next, self._twin
@@ -511,14 +507,15 @@ class PlanarMap:
         ``reflected`` is set the rotation was inverted, so a dart's left face
         becomes its image's right face.  Isomorphic inputs produce
         dart-for-dart identical outputs.  The copy carries its search's
-        result: the code, dart 0 unreflected as the winning start, and the
+        result: the code, ``(False, 0)`` as the winning start, and the
         reading starts in its own labeling, so neither its code nor its
         ``automorphisms`` costs a walk.
         """
-        code, (d0, sigma, refl), starts = self._canonical(include_reflection)
+        code, winner, starts = self._canonical(include_reflection)
+        refl = winner[0]
         twin = self._twin
         n = self.num_darts
-        dart_map = self._relabeling(d0, sigma)
+        dart_map = self._relabeling(winner)
         new_twin = [0] * n
         for d in range(n):
             new_twin[dart_map[d]] = dart_map[twin[d]]
@@ -528,14 +525,15 @@ class PlanarMap:
         # its own search would try, so that start wins; a reading start walks
         # in the copy's own rotation exactly when it shares the winner's
         out._code_cache[include_reflection] = (
-            code, (0, out._next, False), tuple(sorted((r != refl, dart_map[d]) for r, d in starts)),
+            code, (False, 0), tuple(sorted((r != refl, dart_map[d]) for r, d in starts)),
         )
         return out, dart_map, refl
 
 
 @lru_cache(maxsize=None)
-def _standard_rotation(num_darts: int, step: int = 1) -> tuple[int, ...]:
-    """``3v + j -> 3v + (j+step) % 3``: the rotation every map uses, or with step 2 its inverse."""
+def _standard_rotation(num_darts: int, reflected: bool = False) -> tuple[int, ...]:
+    """``3v + j -> 3v + (j+1) % 3``: the rotation every map uses, or if ``reflected`` its inverse."""
+    step = 2 if reflected else 1
     return tuple(3 * (d // 3) + (d + step) % 3 for d in range(num_darts))
 
 
@@ -654,10 +652,6 @@ def p_vector(m: PlanarMap) -> PVector:
     if pv.curvature_sum() != 12:
         raise NonSphericalError(f"sum (6-k) p_k = {pv.curvature_sum()}, expected 12")
     return pv
-
-
-def is_fullerene(m: PlanarMap) -> bool:
-    return p_vector(m).is_fullerene()
 
 
 # ----------------------------------------------------------------------

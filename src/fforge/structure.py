@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .planar_map import MapError, PlanarMap, p_vector
+from .planar_map import MapError, PlanarMap, check_polytopal, p_vector
 
 
 class NotAFullereneError(MapError):
@@ -236,8 +236,6 @@ def classify_shape(m: PlanarMap) -> FamilyClass:
 
 def classify(m: PlanarMap) -> FamilyClass:
     """Full classification; requires the map to be polytopal."""
-    from .planar_map import check_polytopal
-
     if not check_polytopal(m):
         raise NotPolytopalError("classification is defined for polytopal maps only")
     return classify_shape(m)

@@ -1,8 +1,8 @@
 """Local rewrites on cubic planar maps: multi-edge truncation and its inverse.
 
-A truncation site names a face, a starting dart on that face's walk and a
-count ``s`` of consecutive edges to cut off (``s = 0`` cuts a single corner).
-The cut is an edge insertion: two new vertices M1 and M2 split the face
+A truncation site names a count ``s`` of consecutive edges to cut off
+(``s = 0`` cuts a single corner) and the dart whose face walk the run starts
+on.  The cut is an edge insertion: two new vertices M1 and M2 split the face
 edges on either side of the run and are joined by one new edge.  That makes
 the run a new (s+3)-gon, shrinks the host face to a (k-s+1)-gon and grows
 the two side faces flanking the run by one edge each.  Straightening is the
@@ -35,7 +35,7 @@ rebuilds the map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .planar_map import MapError, NonCubicError, PlanarMap
 
@@ -56,18 +56,16 @@ class ThreeBeltObstructionError(MapError):
         self.third_face = third_face
 
 
-@dataclass(frozen=True)
-class TruncationSite:
-    """Anchor of an (s,k)-truncation.
-
-    ``start_dart`` lies on the walk of ``face``; the cut consumes the run of
-    ``s`` walk edges starting at ``source(start_dart)``.  For ``s = 0`` only
-    that corner vertex is cut.
+class TruncationSite(NamedTuple):
+    """Anchor of an (s,k)-truncation: the cut consumes the run of ``s`` edges
+    of the face walk of ``start_dart`` (face ``face_of[start_dart]``) that
+    starts at ``source(start_dart)``.  For ``s = 0`` only that corner vertex
+    is cut.  A growth step records its sub-sites in this shape, as
+    ``(s, dart)`` pairs.
     """
 
-    face: int
-    start_dart: int
     s: int
+    start_dart: int
 
     def walk(self, m: PlanarMap) -> list[int]:
         """The s + 1 face darts from ``start_dart``: their sources are the
@@ -78,8 +76,8 @@ class TruncationSite:
         return walk
 
     def signature(self, m: PlanarMap) -> tuple[int, int, int, int]:
-        """(s, k, m1, m2) with the side-face sizes read from the map."""
-        k = m.face_sizes[self.face]
+        """(s, k, m1, m2) with the face and side-face sizes read from the map."""
+        k = m.face_sizes[m.face_of[self.start_dart]]
         m1, m2 = side_face_sizes(m, self)
         return (self.s, k, min(m1, m2), max(m1, m2))
 
@@ -120,9 +118,9 @@ def cut_key(vertices: Sequence[int]) -> tuple[int, ...]:
 def _run_darts(m: PlanarMap, site: TruncationSite) -> tuple[int, int]:
     """The face darts into the run's first vertex and out of its last;
     InvalidSiteError unless its run of vertices can be cut off."""
-    if m.face_of[site.start_dart] != site.face:
-        raise InvalidSiteError("start dart is not on the site face")
-    k = m.face_sizes[site.face]
+    if not 0 <= site.start_dart < m.num_darts:
+        raise InvalidSiteError(f"start dart {site.start_dart} is no dart of the map")
+    k = m.face_sizes[m.face_of[site.start_dart]]
     if not (0 <= site.s <= k - 2):
         raise InvalidSiteError(f"s = {site.s} out of range for a {k}-gon")
     walk = site.walk(m)
@@ -222,8 +220,7 @@ def straighten(m: PlanarMap, edge: EdgeRef) -> StraighteningResult:
     out = PlanarMap(list(map(relabel.__getitem__, kept)), _validated=True)
     # the inverse run starts past the deleted edge's two ends along fq
     start = relabel[m.face_next(m.face_next(td))]
-    site = TruncationSite(out.face_of[start], start, m.face_sizes[fq] - 3)
-    return StraighteningResult(out, site, relabel)
+    return StraighteningResult(out, TruncationSite(m.face_sizes[fq] - 3, start), relabel)
 
 
 def enumerate_sites(
@@ -246,14 +243,14 @@ def enumerate_sites(
     reported = set()  # cut_key of each corner and edge cut in out
     s_values = range(0, max(m.face_sizes) - 1) if s is None else [s]
     for sv in s_values:
-        for f, cyc in enumerate(m.faces):
+        for cyc in m.faces:
             fk = len(cyc)
             if k is not None and fk != k:
                 continue
             if sv > fk - 2:
                 continue
             for d in cyc:
-                site = TruncationSite(f, d, sv)
+                site = TruncationSite(sv, d)
                 if m1 is not None or m2 is not None:
                     a, b = side_face_sizes(m, site)
                     if not (m1 in (None, a) and m2 in (None, b) or m1 in (None, b) and m2 in (None, a)):

@@ -370,9 +370,9 @@ def scan_automorphisms(m: PlanarMap, include_reflection: bool):
     the canonical search: every start with the least face-size prefix is
     walked in full by ``code_symbols_referee``, the least code is the least
     of those reads, and each ``(reflected, dart)`` start that reads it, in
-    sorted order, gives psi_w^-1 . psi_d.  Here psi_x is the first-visit
-    relabeling from x and w the first start that reads the code; the element
-    reverses orientation when d and w differ in reflection."""
+    sorted order, gives the dart map psi_w^-1 . psi_d.  Here psi_x is the
+    first-visit relabeling from x and w the first start that reads the
+    code."""
     n = m.num_darts
     twin = [m.twin(d) for d in range(n)]
     rotations = {False: [m.next(d) for d in range(n)]}
@@ -412,9 +412,7 @@ def scan_automorphisms(m: PlanarMap, include_reflection: bool):
     inv = [0] * n
     for old, new in enumerate(relabeling(rotations[w_refl], w)):
         inv[new] = old
-    return tuple(
-        (tuple(inv[x] for x in relabeling(rotations[refl], d)), refl != w_refl) for refl, d in starts
-    )
+    return tuple(tuple(inv[x] for x in relabeling(rotations[refl], d)) for refl, d in starts)
 
 
 def unpruned_successors(m: PlanarMap, regime: Regime, max_faces: int, include_reflection: bool = True):
@@ -438,7 +436,7 @@ def unpruned_successors(m: PlanarMap, regime: Regime, max_faces: int, include_re
         s, k, m1, m2 = KIND_SIGNATURES[chain[0]]
         for site in enumerate_sites(cur, s=s, k=k, m1=m1, m2=m2):
             raw = truncate(cur, site).map
-            payload = acc + ((s, site.start_dart),)
+            payload = acc + (site,)
             if len(chain) == 1:
                 yield kind, ("trunc", payload), raw
             else:
@@ -447,6 +445,12 @@ def unpruned_successors(m: PlanarMap, regime: Regime, max_faces: int, include_re
     for kind in kinds:
         if kind in KIND_CHAINS:
             yield from walk(kind, m, KIND_CHAINS[kind], ())
+
+
+def reverses(m: PlanarMap, phi) -> bool:
+    """Whether the automorphism ``phi``, a dart map, reverses orientation:
+    it takes next to prev rather than to next."""
+    return phi[m.next(0)] != m.next(phi[0])
 
 
 def nx_automorphisms(m: PlanarMap) -> list[dict[int, int]]:

@@ -44,11 +44,11 @@ def _report(name: str):
 
 def _all_sites(m):
     out = []
-    for f, cyc in enumerate(m.faces):
+    for cyc in m.faces:
         k = len(cyc)
         for d in cyc:
             for s in range(0, k - 1):
-                out.append(TruncationSite(f, d, s))
+                out.append(TruncationSite(s, d))
     return out
 
 
@@ -138,7 +138,7 @@ def test_flag_closure(family_maps):
     pool = [(m, s) for m in family_maps for s in _all_sites(m)]
     rng.shuffle(pool)
     for m, site in pool:
-        k = m.face_sizes[site.face]
+        k = m.face_sizes[m.face_of[site.start_dart]]
         assert is_flag(m)
         if 0 < site.s < k - 2 and interior < 500:
             assert is_flag(truncate(m, site).map)

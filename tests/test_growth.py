@@ -32,7 +32,6 @@ from fforge.growth import (
     NoCaseAppliesError,
     SiteMismatchError,
     _canonical_site,
-    _canonicalize,
     _site_matches,
     replay_step,
 )
@@ -41,6 +40,10 @@ from fforge.structure import FamilyClass, Fragment, NotAFullereneError, find_fra
 from fforge.transform import EdgeRef, TruncationSite, straighten
 
 import helpers
+
+
+def canonical(m: PlanarMap) -> PlanarMap:
+    return m.canonical_form()[0]
 
 
 # sha256 of the canonical codes of the family maps with 0..30 layers, the
@@ -189,17 +192,17 @@ class TestApplyGrowth:
     def test_endo_kroto_kind(self, oracle5):
         m = next(e.map for e in oracle5.entries.values() if e.p6 == 2)
         site = enumerate_sites(m, s=2, k=6, m1=5, m2=5)[0]
-        out = apply_growth(m, GrowthOpKind.A4, site)
+        out = apply_growth(m, GrowthOpKind.A4, (site,))
         assert p_vector(out)[6] == 3
         assert classify_shape(out).is_fullerene
 
     def test_belt_insertion_by_recognition(self):
         out = apply_growth(build_D5k(1), GrowthOpKind.A1)
-        assert out.canonical_code() == _canonicalize(build_D5k(2)).canonical_code()
+        assert out.canonical_code() == canonical(build_D5k(2)).canonical_code()
 
     def test_triple_insertion_by_recognition(self):
         out = apply_growth(build_F3k(1), GrowthOpKind.A2)
-        assert out.canonical_code() == _canonicalize(build_F3k(2)).canonical_code()
+        assert out.canonical_code() == canonical(build_F3k(2)).canonical_code()
 
     def test_heptagon_round_trip(self, oracle5):
         m, site = next(
@@ -207,44 +210,60 @@ class TestApplyGrowth:
             for e in oracle5.entries.values()
             for s in enumerate_sites(e.map, s=2, k=6, m1=5, m2=6)
         )
-        f1 = apply_growth(m, GrowthOpKind.A5, site)
+        f1 = apply_growth(m, GrowthOpKind.A5, (site,))
         assert classify_shape(f1) is FamilyClass.F1
         back_sites = enumerate_sites(f1, s=2, k=7, m1=5, m2=5)
         assert back_sites
-        out = apply_growth(f1, GrowthOpKind.A6, back_sites[0])
+        out = apply_growth(f1, GrowthOpKind.A6, back_sites[:1])
         assert classify_shape(out).is_fullerene
 
     def test_kind_mismatch_rejected(self, dodeca):
         site = enumerate_sites(dodeca, s=1, m1=5, m2=5)[0]
         with pytest.raises(SiteMismatchError):
-            apply_growth(dodeca, GrowthOpKind.A4, site)
+            apply_growth(dodeca, GrowthOpKind.A4, (site,))
 
     def test_class_mismatch_rejected(self, dodeca):
         r = truncate(dodeca, enumerate_sites(dodeca, s=1, m1=5, m2=5)[0]).map
         site = enumerate_sites(r, s=2, k=6, m1=4, m2=5)[0]
         with pytest.raises(IllegalTransitionError):
-            apply_growth(r, GrowthOpKind.A4, site)
+            apply_growth(r, GrowthOpKind.A4, (site,))
 
     def test_missing_cap_rejected(self, c60):
         with pytest.raises(SiteMismatchError):
             apply_growth(c60, GrowthOpKind.A1)
 
-    def test_composite_forward_application(self, oracle5):
-        """Composite successors replay through the public entry point."""
-        from fforge.growth import successor_candidates, _canonicalize
+    def test_composite_forward_application(self, closure):
+        """Every successor candidate of a canonical parent reaches its code
+        through ``apply_growth(parent, kind, sites)`` with its own sub-sites,
+        or, where its class is not one the kind leads to, is refused; every
+        kind of each regime is reached.  The parents are the closure's maps
+        with at most five hexagons; A6, A7, B2 and B4 lead to or from the
+        heptagon IPR class, so the ab regime adds the IPR C96 leapfrogged
+        from a C32 and its heptagon IPR successors."""
+        from fforge.growth import _FACE_GAIN, _REGIME_KINDS, _TARGET_CLASSES, successor_candidates
 
-        m = _canonicalize(next(e.map for e in oracle5.entries.values() if e.p6 == 4))
-        seen_kinds = set()
-        # five more faces fit every kind of the regime
-        for kind, payload, raw in successor_candidates(m, Regime.AB_OPS, m.num_faces + 5):
-            if kind not in (GrowthOpKind.A3, GrowthOpKind.B1):
-                continue
-            if kind in seen_kinds or not classify_shape(raw).is_fullerene:
-                continue
-            seen_kinds.add(kind)
-            out = apply_growth(m, kind, payload[1])
-            assert out.canonical_code() == raw.canonical_code()
-        assert GrowthOpKind.A3 in seen_kinds and GrowthOpKind.B1 in seen_kinds
+        room = max(_FACE_GAIN.values())  # every kind fits
+        c96 = canonical(helpers.leapfrog(closure(Regime.SEVEN, 8, True).sorted_fullerenes()[12]))
+        heptagon_ipr = {
+            raw.canonical_code(): canonical(raw)
+            for _, _, raw in successor_candidates(c96, Regime.AB_OPS, c96.num_faces + room)
+            if classify_shape(raw) is FamilyClass.F1_IPR
+        }
+        for regime, max_p6 in ((Regime.SEVEN, 8), (Regime.A_OPS, 8), (Regime.AB_OPS, 7)):
+            parents = [e.map for e in closure(regime, max_p6, True).entries.values() if e.p6 <= 5]
+            if regime is Regime.AB_OPS:
+                parents += [c96, *heptagon_ipr.values()]
+            reached = set()
+            for m in parents:
+                for kind, payload, raw in successor_candidates(m, regime, m.num_faces + room):
+                    sites = payload[1] if payload[0] == "trunc" else ()
+                    if classify_shape(raw) not in _TARGET_CLASSES[kind]:
+                        with pytest.raises(IllegalTransitionError):
+                            apply_growth(m, kind, sites)
+                        continue
+                    assert apply_growth(m, kind, sites).canonical_code() == raw.canonical_code()
+                    reached.add(kind)
+            assert reached == set(_REGIME_KINDS[regime]), regime
 
     def test_every_candidate_adds_its_face_gain(self, gen_seven, gen_a, gen_ab):
         from fforge.growth import _FACE_GAIN, successor_candidates
@@ -266,7 +285,7 @@ class TestOrbitPruning:
     def test_the_dodecahedron_has_one_edge_orbit(self, dodeca):
         from fforge.growth import successor_candidates
 
-        m = _canonicalize(dodeca)
+        m = canonical(dodeca)
         for refl in (True, False):
             kept = list(successor_candidates(m, Regime.SEVEN, 13, refl))
             assert [(kind, payload) for kind, payload, _ in kept] == [(GrowthOpKind.T155, ("trunc", ((1, 0),)))]
@@ -321,21 +340,21 @@ class TestOrbitPruning:
 class TestReduce:
     def test_dodecahedron_is_terminal(self, dodeca):
         with pytest.raises(AtDodecahedronError):
-            reduce_once(_canonicalize(dodeca), Regime.SEVEN)
+            reduce_once(canonical(dodeca), Regime.SEVEN)
         for regime in Regime:
             assert len(reduce_to_dodecahedron(dodeca, regime)) == 0
 
     def test_out_of_family_rejected(self):
         with pytest.raises(IllegalTransitionError):
-            reduce_once(_canonicalize(helpers.cube_map()), Regime.SEVEN)
+            reduce_once(canonical(helpers.cube_map()), Regime.SEVEN)
 
     def test_nanotube_peeling(self):
-        pred, step = reduce_once(_canonicalize(build_D5k(2)), Regime.A_OPS)
+        pred, step = reduce_once(canonical(build_D5k(2)), Regime.A_OPS)
         assert step.kind is GrowthOpKind.A1
-        assert pred.canonical_code() == _canonicalize(build_D5k(1)).canonical_code()
-        pred, step = reduce_once(_canonicalize(build_F3k(3)), Regime.A_OPS)
+        assert pred.canonical_code() == canonical(build_D5k(1)).canonical_code()
+        pred, step = reduce_once(canonical(build_F3k(3)), Regime.A_OPS)
         assert step.kind is GrowthOpKind.A2
-        assert pred.canonical_code() == _canonicalize(build_F3k(2)).canonical_code()
+        assert pred.canonical_code() == canonical(build_F3k(2)).canonical_code()
 
     def test_seven_trace_lengths(self, oracle5):
         for e in oracle5.entries.values():
@@ -377,7 +396,7 @@ class TestReduce:
         for e in list(oracle5.entries.values())[-3:]:
             for regime in Regime:
                 trace = reduce_to_dodecahedron(e.map, regime)
-                m = _canonicalize(build_dodecahedron())
+                m = canonical(build_dodecahedron())
                 for step in trace.steps:
                     m = replay_step(m, step)
                     assert classify_shape(m) in _REGIME_CLASSES[regime]
@@ -394,7 +413,7 @@ class TestReduce:
         from fforge.growth import _REGIME_CLASSES, replay_step
 
         trace = reduce_to_dodecahedron(c60, Regime.AB_OPS)
-        m = _canonicalize(build_dodecahedron())
+        m = canonical(build_dodecahedron())
         for step in trace.steps:
             m = replay_step(m, step)
             assert classify_shape(m) in _REGIME_CLASSES[Regime.AB_OPS]
@@ -415,7 +434,7 @@ class TestReduce:
             return search(m, kinds, final, first)
 
         monkeypatch.setattr(growth, "_sequence_search", spy)
-        _, step = reduce_once(_canonicalize(helpers.leapfrog(c60)), Regime.AB_OPS)
+        _, step = reduce_once(canonical(helpers.leapfrog(c60)), Regime.AB_OPS)
         assert step.kind is GrowthOpKind.A6
         assert searched == [growth.KIND_CHAINS[GrowthOpKind.A6]]
 
@@ -427,8 +446,8 @@ class TestReduce:
     def test_ab_undo_order_on_the_heptagon_ipr_class(self, gen_seven, i, payload, first):
         """The heptagon IPR class tries A7, then B2, then B4; the A7 map admits
         B2 and B4 inverses as well."""
-        base = _canonicalize(helpers.leapfrog(gen_seven.sorted_fullerenes()[i]))
-        m = apply_growth(base, GrowthOpKind.B4, payload)
+        base = canonical(helpers.leapfrog(gen_seven.sorted_fullerenes()[i]))
+        m = apply_growth(base, GrowthOpKind.B4, [TruncationSite(*x) for x in payload])
         assert classify_shape(m) is FamilyClass.F1_IPR
         _, step = reduce_once(m, Regime.AB_OPS)
         assert step.kind is first
@@ -460,10 +479,10 @@ class TestSequenceSearch:
             replay_step,
         )
 
-        fullerenes = [_canonicalize(e.map) for e in oracle5.entries.values()]
+        fullerenes = [canonical(e.map) for e in oracle5.entries.values()]
         # A6 and A7 act on the heptagon class, which A5 leads to
         heptagon_maps = (
-            _canonicalize(raw)
+            canonical(raw)
             for m in fullerenes
             for _, _, raw in _chain_successors(m, GrowthOpKind.A5)
         )
@@ -475,7 +494,7 @@ class TestSequenceSearch:
         for m in itertools.chain(fullerenes, heptagon_maps):
             for op in sorted(pending, key=lambda k: k.name):
                 for _, _, raw in _chain_successors(m, op):
-                    image = _canonicalize(raw)
+                    image = canonical(raw)
                     got = _sequence_search(image, KIND_CHAINS[op], _SOURCE_CLASSES[op], None)
                     assert got is not None
                     pred, sites, _ = got
@@ -518,7 +537,7 @@ class TestStepCheck:
         (s, _), = step.site[1]
         kind = KIND_CHAINS[step.kind][0]
         for d in range(pred.num_darts):
-            site = TruncationSite(pred.face_of[d], d, s)
+            site = TruncationSite(s, d)
             if _site_matches(pred, site, kind) != matching:
                 continue
             if not matching or truncate(pred, site).map.canonical_code() != step.code:
@@ -532,7 +551,7 @@ class TestStepCheck:
 
     def test_a_sub_site_without_the_signature_fails(self, monkeypatch, c30):
         def forge(pred, step):
-            bad = (step.site[1][0][0], self._other_dart(pred, step, matching=False))
+            bad = TruncationSite(step.site[1][0].s, self._other_dart(pred, step, matching=False))
             return dataclasses.replace(step, site=("trunc", (bad,)))
 
         err, cur = self._reduce_with(monkeypatch, c30, Regime.SEVEN, forge)
@@ -546,7 +565,7 @@ class TestStepCheck:
         """A sub-site with the right signature that cuts elsewhere gives a
         map of the same size that the walk test rejects."""
         def forge(pred, step):
-            other = (step.site[1][0][0], self._other_dart(pred, step, matching=True))
+            other = TruncationSite(step.site[1][0].s, self._other_dart(pred, step, matching=True))
             return dataclasses.replace(step, site=("trunc", (other,)))
 
         err, _ = self._reduce_with(monkeypatch, c30, Regime.SEVEN, forge)
@@ -721,7 +740,7 @@ class TestReplayStep:
             m, regime = build_D5k(1), Regime.A_OPS
         trace = reduce_to_dodecahedron(m, regime)
         assert trace.steps[-1].site[0] == request.param
-        pred = _canonicalize(build_dodecahedron())
+        pred = canonical(build_dodecahedron())
         for step in trace.steps[:-1]:
             pred = replay_step(pred, step)
         return pred, trace.steps[-1], [c for c in bucket if c != trace.steps[-1].code]
@@ -818,7 +837,7 @@ class TestReplayStep:
             replay_trace(DerivationTrace.from_jsonl(text))
 
     def test_a_cap_step_on_a_non_fullerene_fails(self, dodeca):
-        quad = _canonicalize(truncate(dodeca, enumerate_sites(dodeca, s=1, m1=5, m2=5)[0]).map)
+        quad = canonical(truncate(dodeca, enumerate_sites(dodeca, s=1, m1=5, m2=5)[0]).map)
         with pytest.raises(SiteMismatchError, match=r"the predecessor is not F3\(0\)"):
             replay_step(quad, GrowthStep(GrowthOpKind.A2, ("cap", "F3", 0), b"\x14"))
 
@@ -836,8 +855,8 @@ def test_canonical_site_cuts_the_straightened_map_back(rewrite_maps):
                 res = straighten(m, EdgeRef(d))
             except MapError:
                 continue
-            pred, (s, dart), _, reflected = _canonical_site(res.map, res.inverse_site)
-            assert truncate(pred, TruncationSite(pred.face_of[dart], dart, s)).map.reads_code(code)
+            pred, csite, _, reflected = _canonical_site(res.map, res.inverse_site)
+            assert truncate(pred, csite).map.reads_code(code)
             reflected_forms += reflected
     assert reflected_forms > 1000
 
@@ -909,14 +928,13 @@ def test_every_recorded_sub_site_matches_its_truncation(regime, c60, corpus_trac
     traces = corpus_traces(regime) + [reduce_to_dodecahedron(c60, regime)]
     checked = 0
     for trace in traces:
-        m = _canonicalize(build_dodecahedron())
+        m = canonical(build_dodecahedron())
         for step in trace.steps:
             if step.site[0] == "trunc":
                 cur = m
-                for (s, dart), kind in zip(step.site[1], KIND_CHAINS[step.kind], strict=True):
-                    cur = _canonicalize(cur)
-                    site = TruncationSite(cur.face_of[dart], dart, s)
-                    assert _site_matches(cur, site, kind), (step.kind, kind, s)
+                for site, kind in zip(step.site[1], KIND_CHAINS[step.kind], strict=True):
+                    cur = canonical(cur)
+                    assert _site_matches(cur, site, kind), (step.kind, kind, site.s)
                     cur = truncate(cur, site).map
                     checked += 1
             m = replay_step(m, step)
@@ -985,8 +1003,8 @@ class TestCarriedStart:
 
         def forged_once(cur, regime):
             pred, step = real(cur, regime)
-            d, refl = step.start
-            return pred, dataclasses.replace(step, start=((d + 1) % cur.num_darts, refl))
+            refl, d = step.start
+            return pred, dataclasses.replace(step, start=(refl, (d + 1) % cur.num_darts))
 
         monkeypatch.setattr(growth, "reduce_once", forged_once)
         tests = self._spy(monkeypatch)
@@ -1055,6 +1073,22 @@ class TestTraceSerialization:
         back = DerivationTrace.from_jsonl(text)
         assert back == trace
         assert replay_trace(back).canonical_code() == m.canonical_code()
+
+    def test_closure_steps_round_trip(self, gen_seven, gen_a, gen_ab):
+        """Every step the closure fixtures record reads back equal from its
+        JSON, with its truncation sub-sites as ``TruncationSite``s on both
+        sides; plain tuples would compare equal too."""
+        types = set()
+        for gen in (gen_seven, gen_a, gen_ab):
+            for e in gen.entries.values():
+                if e.step is None:
+                    continue
+                back = GrowthStep.from_json(e.step.to_json())
+                assert back == e.step
+                if back.site[0] == "trunc":
+                    assert all(type(x) is TruncationSite for x in back.site[1] + e.step.site[1])
+                types.add(back.site[0])
+        assert types == {"trunc", "cap"}
 
     def test_edge_cut_counting(self, oracle5):
         m = next(e.map for e in oracle5.entries.values() if e.p6 == 5)

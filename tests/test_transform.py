@@ -33,18 +33,18 @@ TETRA_ROT = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
 
 def all_sites(m: PlanarMap):
     out = []
-    for f, cyc in enumerate(m.faces):
+    for cyc in m.faces:
         k = len(cyc)
         for d in cyc:
             for s in range(0, k - 1):
-                out.append(TruncationSite(f, d, s))
+                out.append(TruncationSite(s, d))
     return out
 
 
 class TestTruncate:
     def test_vertex_cut_tetrahedron(self):
         k4 = PlanarMap.from_rotation(TETRA_ROT)
-        res = truncate(k4, TruncationSite(k4.face_of[0], 0, 0))
+        res = truncate(k4, TruncationSite(0, 0))
         pv = p_vector(res.map)
         assert res.map.num_vertices == 6
         assert res.map.face_sizes[res.map.face_of[res.map.twin(res.new_edge.dart)]] == 3
@@ -75,11 +75,11 @@ class TestTruncate:
                 assert out.num_edges == m.num_edges + 3
 
     def test_site_validation(self, dodeca):
-        with pytest.raises(InvalidSiteError):
-            truncate(dodeca, TruncationSite(dodeca.face_of[0], 0, 4))
-        wrong_face = (dodeca.face_of[0] + 1) % dodeca.num_faces
-        with pytest.raises(InvalidSiteError):
-            truncate(dodeca, TruncationSite(wrong_face, 0, 1))
+        """An s too large for the face, and a start dart out of range, which
+        a negative index would otherwise wrap to a dart of the map."""
+        for s, d in ((4, 0), (0, -dodeca.num_darts), (0, dodeca.num_darts)):
+            with pytest.raises(InvalidSiteError):
+                truncate(dodeca, TruncationSite(s, d))
 
 
 class TestStraighten:
@@ -97,7 +97,7 @@ class TestStraighten:
 
     def test_three_belt_obstruction(self):
         cube = helpers.cube_map()
-        tc = truncate(cube, TruncationSite(cube.face_of[0], 0, 0)).map
+        tc = truncate(cube, TruncationSite(0, 0)).map
         belt = None
         from fforge import find_belts
 
@@ -148,8 +148,8 @@ class TestEnumerateSites:
 
     def test_unordered_side_matching(self, oracle5):
         m = next(e.map for e in oracle5.entries.values() if e.p6 == 2)
-        a = {(s.face, s.start_dart) for s in enumerate_sites(m, s=2, k=6, m1=5, m2=6)}
-        b = {(s.face, s.start_dart) for s in enumerate_sites(m, s=2, k=6, m1=6, m2=5)}
+        a = set(enumerate_sites(m, s=2, k=6, m1=5, m2=6))
+        b = set(enumerate_sites(m, s=2, k=6, m1=6, m2=5))
         assert a == b
 
     def test_one_side_size_is_matched_either_side(self, dodeca, family_maps):
@@ -165,7 +165,7 @@ class TestEnumerateSites:
         for m in family_maps[::5]:
             for site in enumerate_sites(m, s=2)[::3]:
                 s, k, m1, m2 = site.signature(m)
-                assert s == 2 and k == m.face_sizes[site.face]
+                assert s == 2 and k == m.face_sizes[m.face_of[site.start_dart]]
                 assert sorted(side_face_sizes(m, site)) == [m1, m2]
 
 
@@ -175,7 +175,7 @@ class TestFlagTransitions:
         for e in list(oracle5.entries.values())[:4]:
             m = e.map
             for site in all_sites(m):
-                k = m.face_sizes[site.face]
+                k = m.face_sizes[m.face_of[site.start_dart]]
                 if 0 < site.s < k - 2:
                     assert is_flag(truncate(m, site).map)
                     checked += 1
@@ -187,7 +187,7 @@ class TestFlagTransitions:
         from fforge import find_belts
 
         for site in all_sites(dodeca):
-            k = dodeca.face_sizes[site.face]
+            k = dodeca.face_sizes[dodeca.face_of[site.start_dart]]
             if site.s in (0, k - 2):
                 out = truncate(dodeca, site).map
                 assert not is_flag(out)
@@ -221,7 +221,7 @@ def test_straighten_outcomes_are_pinned(rewrite_maps):
     def run(m, d):
         r = straighten(m, EdgeRef(d))
         site = r.inverse_site
-        return [list(r.map._twin), [site.face, site.start_dart, site.s]]
+        return [list(r.map._twin), [r.map.face_of[site.start_dart], site.start_dart, site.s]]
 
     records = (
         _outcome(lambda: run(m, d)) for m in rewrite_maps for d in range(m.num_darts)
@@ -237,12 +237,7 @@ def test_truncate_outcomes_are_pinned(rewrite_maps):
     records = []
     failures = set()
     for m in rewrite_maps:
-        sites = [
-            TruncationSite(f, d, s)
-            for f, cyc in enumerate(m.faces)
-            for d in cyc
-            for s in range(len(cyc) + 1)
-        ]
+        sites = [TruncationSite(s, d) for cyc in m.faces for d in cyc for s in range(len(cyc) + 1)]
         for site in sites[::5]:
             rec = _outcome(lambda: run(m, site))
             if isinstance(rec, str):
@@ -267,7 +262,7 @@ def _recounted_census(m: PlanarMap, site: TruncationSite, d_in: int, d_out: int)
     once: the site face loses s - 1 edges, the face across each flanking
     edge gains one (twice if it is across both), and the new face has s + 3."""
     sizes = list(m.face_sizes)
-    sizes[site.face] -= site.s - 1
+    sizes[m.face_of[site.start_dart]] -= site.s - 1
     sizes[m.face_of[m.twin(d_in)]] += 1
     sizes[m.face_of[m.twin(d_out)]] += 1
     return Counter(sizes + [site.s + 3])
@@ -287,7 +282,7 @@ def test_every_accepted_cut_is_a_valid_map(rewrite_maps):
             assert PlanarMap(res.map._twin) == res.map
             census = Counter(res.map.face_sizes)
             assert census == _recounted_census(m, site, d_in, d_out)
-            s, k = site.s, m.face_sizes[site.face]
+            s, k = site.s, m.face_sizes[m.face_of[site.start_dart]]
             m1, m2 = side_face_sizes(m, site)
             per_role = Counter(pv)
             per_role.update([s + 3, k - s + 1, m1 + 1, m2 + 1])
@@ -369,7 +364,7 @@ def test_enumerate_sites_is_pinned(rewrite_maps):
 
     patterns = [*KIND_SIGNATURES.values(), (None, None, None, None)]
     records = (
-        [[site.face, site.start_dart, site.s] for site in enumerate_sites(m, s=s, k=k, m1=m1, m2=m2)]
+        [[m.face_of[site.start_dart], site.start_dart, site.s] for site in enumerate_sites(m, s=s, k=k, m1=m1, m2=m2)]
         for m in rewrite_maps
         for s, k, m1, m2 in patterns
     )
