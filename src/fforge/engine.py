@@ -25,7 +25,6 @@ from .planar_map import (
     encode_planar_code,
     map_from_faces,
     p_vector,
-    planar_code_from_codes,
     planar_code_records,
 )
 from .structure import FamilyClass, classify, classify_shape, find_belts, five_belt_census
@@ -396,10 +395,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _write_fullerenes(path, gen: GeneratedSet) -> list[bytes]:
-    """Write ``gen``'s fullerenes' codes, sorted, to ``path`` as planar_code; return them."""
+    """Write ``gen``'s fullerenes, sorted by code, to ``path`` as planar_code; return the codes."""
     codes = sorted(c for c, e in gen.entries.items() if e.cls.is_fullerene)
     with open(path, "wb") as fh:
-        fh.write(planar_code_from_codes(codes))
+        fh.write(encode_planar_code(gen.entries[c].map for c in codes))
     return codes
 
 

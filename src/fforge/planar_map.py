@@ -12,7 +12,6 @@ shared freely and used as dictionary keys via their canonical codes.
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -487,40 +486,28 @@ class PlanarMap:
         ``automorphisms`` costs a walk.
         """
         code, (refl, w), gens = self._canonical(include_reflection)
+        # dart k of the copy is the k-th dart the winner's walk visits: vertex
+        # v is the v-th vertex it reaches, its darts in the walk's rotation
+        sigma = _standard_rotation(self.num_darts, refl)
+        order = _visit_order(sigma, self._code_symbols(sigma, w, None)[1])
+        dart_map = [0] * self.num_darts
+        for k, x in enumerate(order):
+            dart_map[x] = k
         twin = self._twin
-        n = self.num_darts
-        # vertex v of the copy is the v-th vertex the winner's walk reaches,
-        # its darts numbered in the walk's rotation from the dart it entered by
-        sigma = _standard_rotation(n, refl)
-        seen = [False] * self.num_vertices
-        seen[w // 3] = True
-        refs = [w]
-        dart_map = [0] * n
-        for i, d in enumerate(refs):
-            for j, x in enumerate((d, sigma[d], sigma[sigma[d]])):
-                dart_map[x] = 3 * i + j
-                td = twin[x]
-                if not seen[td // 3]:
-                    seen[td // 3] = True
-                    refs.append(td)
-        new_twin = [0] * n
-        for d in range(n):
-            new_twin[dart_map[d]] = dart_map[twin[d]]
         # a bijective relabeling of a validated map needs no second validation
-        out = PlanarMap(new_twin, _validated=True)
+        out = PlanarMap([dart_map[twin[x]] for x in order], _validated=True)
         # the copy reads the code from dart 0 unreflected, the first candidate
         # its own search would try, so that start wins; a generator g becomes
-        # dart_map . g . dart_map^-1
-        if gens:
-            inv = sorted(range(n), key=dart_map.__getitem__)
-            gens = tuple(tuple(map(dart_map.__getitem__, map(g.__getitem__, inv))) for g in gens)
+        # dart_map . g . order, order being dart_map's inverse
+        gens = tuple(tuple(map(dart_map.__getitem__, map(g.__getitem__, order))) for g in gens)
         out._code_cache[include_reflection] = (code, (False, 0), gens)
         return out, dart_map, refl
 
 
 def _visit_order(sigma, refs) -> list[int]:
-    """The darts a walk in ``sigma`` enters by, ``refs``, then their sigma-images, then theirs."""
-    return [*refs, *map(sigma.__getitem__, refs), *map(sigma.__getitem__, map(sigma.__getitem__, refs))]
+    """The darts a walk in ``sigma`` visits, vertex by vertex: each dart in ``refs``,
+    by which the walk enters a vertex, then its sigma-image, then that one's."""
+    return [x for d in refs for x in (d, sigma[d], sigma[sigma[d]])]
 
 
 @lru_cache(maxsize=None)
@@ -696,17 +683,6 @@ def encode_planar_code(maps: Iterable[PlanarMap], with_header: bool = True) -> b
     return bytes(out)
 
 
-def planar_code_from_codes(codes: Iterable[bytes]) -> bytes:
-    """``encode_planar_code`` of the maps canonical codes fix: a code's walk symbols are its
-    map's neighbour labels plus one, so a record is nv, then each vertex's symbols and a 0."""
-    out = bytearray(PLANAR_CODE_HEADER)
-    for syms in map(_decode_symbols, codes):
-        if syms[0] > 255:
-            raise VertexOverflowError(f"{syms[0]} vertices exceed the 1-byte planar_code limit")
-        out += bytes(syms[:1]) + b"".join(bytes(syms[i:i + 3]) + b"\0" for i in range(3, len(syms), 3))
-    return bytes(out)
-
-
 def planar_code_records(data: bytes) -> list[PlanarMap | MapError]:
     """Each record of a planar_code byte stream: its validated map, or the
     ``MapError`` that validating it raised.
@@ -715,25 +691,25 @@ def planar_code_records(data: bytes) -> list[PlanarMap | MapError]:
     ``MapError`` subclass with the message prefixed by ``record {i}: ``
     (counting records from 0), since no later record can be found.
     """
-    buf = io.BytesIO(data)
-    head = buf.read(len(PLANAR_CODE_HEADER))
-    if head != PLANAR_CODE_HEADER:
-        buf.seek(0)
-        if head[:2] == b">>":
-            raise MalformedHeaderError("unrecognized planar_code header")
+    i = len(PLANAR_CODE_HEADER) if data.startswith(PLANAR_CODE_HEADER) else 0
+    if not i and data[:2] == b">>":
+        raise MalformedHeaderError("unrecognized planar_code header")
     records = []
-    while True:
-        nb = buf.read(1)
-        if not nb:
-            return records
-        try:
-            rot = _read_rotation(buf, nb[0])
-        except MapError as exc:
-            raise type(exc)(f"record {len(records)}: {exc}") from exc
+    while i < len(data):
+        n, i, rot = data[i], i + 1, []
+        if n == 0:
+            raise VertexOverflowError(f"record {len(records)}: 2-byte planar_code records are not supported")
+        for _ in range(n):
+            end = data.find(0, i)
+            if end < 0:
+                raise TruncatedRecordError(f"record {len(records)}: record ended inside an adjacency list")
+            rot.append([c - 1 for c in data[i:end]])
+            i = end + 1
         try:
             records.append(PlanarMap.from_rotation(rot))
         except MapError as exc:
             records.append(exc)
+    return records
 
 
 def decode_planar_code(data: bytes) -> list[PlanarMap]:
@@ -747,25 +723,6 @@ def decode_planar_code(data: bytes) -> list[PlanarMap]:
         if isinstance(m, MapError):
             raise type(m)(f"record {i}: {m}") from m
     return maps
-
-
-def _read_rotation(buf: io.BytesIO, n: int) -> list[list[int]]:
-    """The neighbor lists of one record whose vertex count byte ``n`` was
-    just read."""
-    if n == 0:
-        raise VertexOverflowError("2-byte planar_code records are not supported")
-    rot: list[list[int]] = []
-    for _ in range(n):
-        row = []
-        while True:
-            c = buf.read(1)
-            if not c:
-                raise TruncatedRecordError("record ended inside an adjacency list")
-            if c[0] == 0:
-                break
-            row.append(c[0] - 1)
-        rot.append(row)
-    return rot
 
 
 def write_planar_code(path, maps: Iterable[PlanarMap]) -> None:

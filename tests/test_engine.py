@@ -191,6 +191,28 @@ class TestEnumerate:
         with pytest.raises(MapError):
             EnumerationJob(Regime.SEVEN, 1, worker_count=2)
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(MapError, match="max_p6 must be nonnegative"):
+            EnumerationJob(Regime.SEVEN, -1)
+
+    @pytest.mark.parametrize("regime", [Regime.A_OPS, Regime.AB_OPS])
+    def test_an_oriented_closure_canonicalizes_without_reflection(self, regime, monkeypatch):
+        """Every canonical form an oriented closure takes, the chains'
+        intermediates included, keeps mirror images apart.  A closure that
+        canonicalizes chain intermediates with mirror images identified
+        still counts as the oracle does through p6 = 11, in every regime, so
+        no count check below p6 = 12 can see that defect; this check can."""
+        flags = []
+        real = PlanarMap.canonical_form
+
+        def spy(self, include_reflection=True):
+            flags.append(include_reflection)
+            return real(self, include_reflection)
+
+        monkeypatch.setattr(PlanarMap, "canonical_form", spy)
+        enumerate_closure(EnumerationJob(regime, 6, include_reflection=False))
+        assert len(flags) > 40 and not any(flags)
+
     def test_exceptional_budgets(self, gen_seven):
         from fforge.structure import FamilyClass
 
@@ -672,7 +694,23 @@ class TestCli:
             assert "error" not in lines[0] and "error" not in lines[2]
             assert lines[1]["error"] == "V-E+F = 0, expected 2"
 
-    def test_python_dash_m_runs_the_cli(self):
+    def test_validate_exits_1_on_a_map_that_is_not_polytopal(self, tmp_path, capsys):
+        src = tmp_path / "m.plc"
+        write_planar_code(src, [helpers.two_edge_connected_cubic()])
+        assert main(["validate", str(src)]) == 1
+        assert '"polytopal": false, "class": "n/a"' in capsys.readouterr().out
+
+    def test_gen_refuses_traces_without_reflection(self, tmp_path, capsys):
+        out, traces = tmp_path / "f.plc", tmp_path / "t.jsonl"
+        assert main(["gen", "--regime", "seven", "--max-hexagons", "1", "--no-reflection",
+                     "--out", str(out), "--traces", str(traces)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: traces are defined over the mirror-identifying equivalence")
+        assert not out.exists() and not traces.exists()
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path, capsys):
+        """``python -m fforge`` prints the usage, and for ``validate`` the
+        same lines and exit status as ``main``."""
         import os
         import subprocess
         import sys
@@ -681,11 +719,22 @@ class TestCli:
 
         src = os.path.dirname(os.path.dirname(fforge.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        res = subprocess.run([sys.executable, "-m", "fforge", "--help"],
-                             capture_output=True, text=True, env=env, timeout=60)
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "fforge", *args],
+                                  capture_output=True, text=True, env=env, timeout=60)
+
+        res = run("--help")
         assert res.returncode == 0
         assert res.stderr == ""
         assert res.stdout.startswith("usage: fforge")
+        plc = tmp_path / "m.plc"
+        write_planar_code(plc, [build_dodecahedron(), helpers.two_edge_connected_cubic()])
+        status = main(["validate", str(plc)])
+        want = capsys.readouterr()
+        res = run("validate", str(plc))
+        assert (res.returncode, res.stdout, res.stderr) == (status, want.out, want.err)
+        assert status == 1 and len(res.stdout.splitlines()) == 2
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

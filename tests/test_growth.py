@@ -800,23 +800,33 @@ class TestReplayStep:
         with pytest.raises(MapError, match="did not reproduce the recorded code"):
             replay_step(pred, bad)
 
-    @pytest.mark.parametrize("regime, step, error", [
-        (Regime.A_OPS, (GrowthOpKind.A1, ("cap", "D5", 5), 6), SiteMismatchError),
-        (Regime.SEVEN, (GrowthOpKind.T155, ("cap", "D5", 0), 1), SiteMismatchError),
-        (Regime.A_OPS, (GrowthOpKind.A1, ("trunc", ()), 0), SiteMismatchError),
-        (Regime.A_OPS, (GrowthOpKind.A1, ("cap", "D6", 0), 1), SiteMismatchError),
-        (Regime.SEVEN, (GrowthOpKind.A1, ("cap", "D5", 0), 1), IllegalTransitionError),
+    @pytest.mark.parametrize("regime, step, error, match", [
+        (Regime.A_OPS, (GrowthOpKind.A1, ("cap", "D5", 5), 6), SiteMismatchError, r"not D5\(5\)"),
+        (Regime.SEVEN, (GrowthOpKind.T155, ("cap", "D5", 0), 1), SiteMismatchError, "is A1, not T155"),
+        (Regime.A_OPS, (GrowthOpKind.A1, ("trunc", ()), 0), SiteMismatchError, "A1 is no truncation chain"),
+        (Regime.A_OPS, (GrowthOpKind.A1, ("cap", "D6", 0), 1), SiteMismatchError, "no nanotube family"),
+        (Regime.SEVEN, (GrowthOpKind.A1, ("cap", "D5", 0), 1), IllegalTransitionError, "not in regime seven"),
+        (Regime.SEVEN, (GrowthOpKind.T155, ("trunc", (TruncationSite(1, 0),) * 2), 0), SiteMismatchError,
+         "the chain needs 1 sub-sites, not 2"),
+        (Regime.SEVEN, (GrowthOpKind.T155, ("trunc", (TruncationSite(1, 60),)), 0), SiteMismatchError,
+         "sub-site 0 names no dart"),
+        (Regime.SEVEN, None, MapError, "does not start at the dodecahedron"),
     ], ids=[
         "a jump of five layers", "a cap step of a truncation kind", "an empty chain",
-        "an unknown family", "a step outside the regime",
+        "an unknown family", "a step outside the regime", "two sub-sites for one cut",
+        "a sub-site dart out of range", "a start that is not the dodecahedron",
     ])
-    def test_forged_trace_fails(self, regime, step, error):
+    def test_forged_trace_fails(self, regime, step, error, match):
         """Each forged step records the code its site yields, D5(k) for the
-        last entry of ``step``, so only the step's own checks reject it."""
-        kind, site, k = step
-        trace = DerivationTrace(regime, build_dodecahedron().canonical_code(),
-                                (GrowthStep(kind, site, build_D5k(k).canonical_code()),))
-        with pytest.raises(error):
+        last entry of ``step``, so only the step's own checks reject it.
+        Without a step, the trace starts at D5(1) and has no steps."""
+        if step is None:
+            trace = DerivationTrace(regime, build_D5k(1).canonical_code(), ())
+        else:
+            kind, site, k = step
+            trace = DerivationTrace(regime, build_dodecahedron().canonical_code(),
+                                    (GrowthStep(kind, site, build_D5k(k).canonical_code()),))
+        with pytest.raises(error, match=match):
             replay_trace(trace)
 
     def test_a_forged_cap_step_builds_nothing(self, monkeypatch, dodeca):

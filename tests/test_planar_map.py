@@ -24,7 +24,6 @@ from fforge.planar_map import (
     VertexOverflowError,
     _corner_sizes,
     _decode_symbols,
-    planar_code_from_codes,
 )
 
 from fforge.engine import EnumerationJob, bucket_key, enumerate_closure
@@ -202,16 +201,6 @@ class TestPlanarCode:
         big = build_D5k(24)  # 260 vertices
         with pytest.raises(VertexOverflowError):
             encode_planar_code([big])
-        with pytest.raises(VertexOverflowError):
-            planar_code_from_codes([big.canonical_code()])
-
-    def test_codes_are_written_as_their_maps_are(self, gen_seven, gen_a, gen_ab, oracle5):
-        """The planar_code written straight from canonical codes is the
-        encoding of the maps those codes fix, byte for byte."""
-        for gen in (gen_seven, gen_a, gen_ab, oracle5):
-            codes = sorted(gen.entries)
-            assert planar_code_from_codes(codes) == encode_planar_code([gen.entries[c].map for c in codes])
-        assert planar_code_from_codes([]) == encode_planar_code([])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 7), st.integers(2, 4))
